@@ -14,13 +14,13 @@
 //	       -pos pos.facts -neg neg.facts -target 'advisedBy(stud, prof)'
 //
 //	# observability: human-readable events, machine-readable trace and
-//	# metrics, CPU/heap profiles
+//	# run report, CPU/heap profiles
 //	castor -dataset uwcse -v
-//	castor -dataset uwcse -trace trace.jsonl -metrics metrics.json
+//	castor -dataset uwcse -trace trace.jsonl -report run.json
 //	castor -dataset uwcse -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-//	# span-level tracing (Perfetto-loadable), run report, live server
-//	castor -dataset uwcse -chrometrace trace.json -report run.json
+//	# span-level tracing (Perfetto-loadable), live server
+//	castor -dataset uwcse -chrometrace trace.json
 //	castor -dataset uwcse -http :6060   # /metrics /progress /debug/pprof/
 //
 //	# search-graph provenance and explanations
@@ -32,8 +32,8 @@
 // File formats are those of internal/relstore: `rel name(attr, …)` /
 // `fd` / `ind` / `domain` lines for the schema, one ground fact per line
 // for data and examples. The trace file is JSONL (one event object per
-// line); the metrics file is the JSON snapshot of the run's counter/timer
-// registry (see README "Observability" for both schemas).
+// line); the run report holds the JSON snapshot of the run's registry
+// under "metrics" (see README "Observability" for both schemas).
 package main
 
 import (
@@ -75,8 +75,8 @@ type options struct {
 	subsetINDs                             bool
 
 	verbose                bool
-	traceFile, metricsFile string
-	chromeFile, reportFile string
+	traceFile, chromeFile  string
+	reportFile             string
 	httpAddr               string
 	httpIdle               time.Duration
 	cpuProfile, memProfile string
@@ -84,7 +84,6 @@ type options struct {
 	flightFile       string
 	watchdogStall    time.Duration
 	watchdogSelftest bool
-	sampleResources  time.Duration
 	timelineFile     string
 	timelineTick     time.Duration
 
@@ -122,7 +121,6 @@ func main() {
 	flag.BoolVar(&o.subsetINDs, "subset-inds", false, "Castor: chase general subset INDs (§7.4)")
 	flag.BoolVar(&o.verbose, "v", false, "log trace events to stderr")
 	flag.StringVar(&o.traceFile, "trace", "", "write a JSONL event trace to this file")
-	flag.StringVar(&o.metricsFile, "metrics", "", "write the JSON metrics report to this file")
 	flag.StringVar(&o.chromeFile, "chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
 	flag.StringVar(&o.reportFile, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
 	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
@@ -130,9 +128,8 @@ func main() {
 	flag.StringVar(&o.flightFile, "flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
 	flag.DurationVar(&o.watchdogStall, "watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
 	flag.BoolVar(&o.watchdogSelftest, "watchdog-selftest", false, "hold the run idle after learning until the watchdog trips once (CI/debugging)")
-	flag.DurationVar(&o.sampleResources, "sample-resources", 0, "sample RSS/heap/goroutines every interval into gauges and the flight recorder (0 = off)")
 	flag.StringVar(&o.timelineFile, "timeline", "", "write the metric timeline (JSONL) to this file at run end")
-	flag.DurationVar(&o.timelineTick, "timeline-tick", obs.DefaultTimelineTick, "metric timeline sampling interval")
+	flag.DurationVar(&o.timelineTick, "timeline-tick", obs.DefaultTimelineTick, "sampling interval of the metric timeline and resource gauges (on with -timeline, -http, -report or -flightrecorder)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
 	flag.StringVar(&o.provFile, "provenance", "", "write the candidate search graph (JSONL) to this file")
@@ -233,7 +230,9 @@ func run(o options, out io.Writer) error {
 		WithSpans(obs.MultiSpanSink(spanSinks...)).
 		WithFlightRecorder(fr)
 	var tl *obs.Timeline
-	if o.timelineFile != "" || o.httpAddr != "" {
+	if o.timelineFile != "" || o.httpAddr != "" || o.reportFile != "" || o.flightFile != "" {
+		// The one sampling tick: resource gauges, counter-delta flight
+		// records and the timeline rings, for every output that shows them.
 		tl = obs.StartTimeline(obsRun, o.timelineTick)
 	}
 	if o.httpAddr != "" {
@@ -243,10 +242,6 @@ func run(o options, out io.Writer) error {
 		}
 		defer srv.Close()
 		fmt.Fprintf(out, "introspection server on http://%s/ (/metrics /progress /timeline /critpath /debug/flightrecorder /debug/pprof/)\n", srv.Addr())
-	}
-	if o.sampleResources > 0 {
-		smp := obs.StartSampler(obsRun, o.sampleResources)
-		defer smp.Stop()
 	}
 	var wd *obs.Watchdog
 	if o.watchdogStall > 0 {
@@ -371,8 +366,7 @@ func run(o options, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "watchdog-selftest: tripped (trips=%d)\n", wd.Trips())
 	}
-	obsRun.Sample() // final resource sample, so every report carries RSS/heap gauges
-	tl.Stop()       // final timeline tick; rings stay servable through -http-idle
+	tl.Stop() // final tick; rings stay servable through -http-idle
 	if o.timelineFile != "" {
 		if err := tl.WriteJSONLFile(o.timelineFile); err != nil {
 			return fmt.Errorf("writing timeline: %w", err)
@@ -409,20 +403,7 @@ func run(o options, out io.Writer) error {
 			return err
 		}
 	}
-	if o.metricsFile != "" {
-		f, err := os.Create(o.metricsFile)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if o.verbose || o.metricsFile != "" || o.traceFile != "" {
+	if o.verbose || o.traceFile != "" {
 		fmt.Fprintf(out, "\nrun metrics:\n")
 		report.WriteSummary(out)
 	}

@@ -13,16 +13,17 @@ import (
 )
 
 // TestRunWritesMetricsAndTrace drives the full CLI pipeline (uwcse,
-// Castor) and checks the acceptance contract of the -metrics and -trace
-// flags: the metrics file is valid JSON with nonzero coverage-test and
-// cache-hit counters, and every trace line is a standalone JSON object.
+// Castor) and checks the acceptance contract of the -report and -trace
+// flags: the report's metrics object is valid JSON with nonzero
+// coverage-test and cache-hit counters, and every trace line is a
+// standalone JSON object.
 func TestRunWritesMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
 		dataset: "uwcse", learner: "castor", coverage: "auto",
 		sample: 4, beam: 2, clauseLength: 10, par: 2, seed: 1,
-		metricsFile: filepath.Join(dir, "metrics.json"),
-		traceFile:   filepath.Join(dir, "trace.jsonl"),
+		reportFile: filepath.Join(dir, "run.json"),
+		traceFile:  filepath.Join(dir, "trace.jsonl"),
 	}
 	var out bytes.Buffer
 	if err := run(o, &out); err != nil {
@@ -35,27 +36,30 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 		t.Error("run output missing the metrics summary")
 	}
 
-	mf, err := os.ReadFile(o.metricsFile)
+	rf, err := os.ReadFile(o.reportFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report struct {
-		Counters map[string]int64 `json:"counters"`
-		Phases   map[string]struct {
-			Seconds float64 `json:"seconds"`
-			Calls   int64   `json:"calls"`
-		} `json:"phases"`
+	var rr struct {
+		Metrics struct {
+			Counters map[string]int64 `json:"counters"`
+			Spans    map[string]struct {
+				Seconds float64 `json:"seconds"`
+				Calls   int64   `json:"calls"`
+			} `json:"spans"`
+		} `json:"metrics"`
 	}
-	if err := json.Unmarshal(mf, &report); err != nil {
-		t.Fatalf("metrics file does not parse: %v", err)
+	if err := json.Unmarshal(rf, &rr); err != nil {
+		t.Fatalf("run report does not parse: %v", err)
 	}
+	report := rr.Metrics
 	for _, key := range []string{"coverage_tests", "coverage_tests_skipped", "tuples_scanned", "bottom_clauses"} {
 		if report.Counters[key] == 0 {
 			t.Errorf("metrics counter %s is zero: %v", key, report.Counters)
 		}
 	}
-	if report.Phases["coverage_testing"].Calls == 0 {
-		t.Error("metrics report has no coverage_testing phase calls")
+	if report.Spans["coverage_batch"].Calls == 0 {
+		t.Error("metrics report has no coverage_batch span calls")
 	}
 
 	tf, err := os.Open(o.traceFile)

@@ -7,13 +7,13 @@
 //	experiments -exp table9 -scale 0.5   # smaller/faster
 //
 //	# observability: aggregate counters/timers across every learner run
-//	experiments -exp table10 -v -metrics metrics.json -trace trace.jsonl
-//	experiments -exp table10 -chrometrace trace.json -report run.json
+//	experiments -exp table10 -v -trace trace.jsonl -report run.json
+//	experiments -exp table10 -chrometrace trace.json
 //	experiments -exp all -http :6060     # live /metrics /progress /debug/pprof/
 //	experiments -exp fig2 -cpuprofile cpu.pprof
 //
 // Experiments: table2, table9, table10, table11, table12, table13, fig2,
-// fig3, all. With -metrics/-trace/-chrometrace/-report, one registry and
+// fig3, all. With -trace/-chrometrace/-report, one registry and
 // one trace stream span all selected experiments (see README
 // "Observability").
 package main
@@ -42,7 +42,6 @@ func main() {
 	fig3Defs := flag.Int("fig3-defs", 10, "random definitions per Figure 3 setting")
 	verbose := flag.Bool("v", false, "log trace events to stderr")
 	traceFile := flag.String("trace", "", "write a JSONL event trace to this file")
-	metricsFile := flag.String("metrics", "", "write the JSON metrics report to this file")
 	chromeFile := flag.String("chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
 	reportFile := flag.String("report", "", "write the JSON run report (for cmd/obsreport) to this file")
 	httpAddr := flag.String("http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
@@ -50,9 +49,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	flightFile := flag.String("flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
 	watchdogStall := flag.Duration("watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
-	sampleResources := flag.Duration("sample-resources", 0, "sample RSS/heap/goroutines every interval into gauges and the flight recorder (0 = off)")
 	timelineFile := flag.String("timeline", "", "write the metric timeline (JSONL) to this file at run end")
-	timelineTick := flag.Duration("timeline-tick", obs.DefaultTimelineTick, "metric timeline sampling interval")
+	timelineTick := flag.Duration("timeline-tick", obs.DefaultTimelineTick, "sampling interval of the metric timeline and resource gauges (on with -timeline, -http, -report or -flightrecorder)")
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -73,10 +71,9 @@ func main() {
 	var spanSinks []obs.SpanSink
 	var traceSink *obs.JSONLSink
 	var chromeSink *obs.ChromeTraceSink
-	observing := *verbose || *traceFile != "" || *metricsFile != "" ||
-		*chromeFile != "" || *reportFile != "" || *httpAddr != "" ||
-		*flightFile != "" || *watchdogStall > 0 || *sampleResources > 0 ||
-		*timelineFile != ""
+	observing := *verbose || *traceFile != "" || *chromeFile != "" ||
+		*reportFile != "" || *httpAddr != "" || *flightFile != "" ||
+		*watchdogStall > 0 || *timelineFile != ""
 	if observing {
 		reg = obs.NewRegistry()
 		fr = obs.NewFlightRecorder(0)
@@ -130,7 +127,9 @@ func main() {
 		WithSpans(obs.MultiSpanSink(spanSinks...)).
 		WithFlightRecorder(fr)
 	var tl *obs.Timeline
-	if *timelineFile != "" || *httpAddr != "" {
+	if *timelineFile != "" || *httpAddr != "" || *reportFile != "" || *flightFile != "" {
+		// The one sampling tick: resource gauges, counter-delta flight
+		// records and the timeline rings, for every output that shows them.
 		tl = obs.StartTimeline(obsRun, *timelineTick)
 	}
 	if *httpAddr != "" {
@@ -140,10 +139,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Printf("introspection server on http://%s/ (/metrics /progress /timeline /critpath /debug/flightrecorder /debug/pprof/)\n", srv.Addr())
-	}
-	if *sampleResources > 0 {
-		smp := obs.StartSampler(obsRun, *sampleResources)
-		defer smp.Stop()
 	}
 	if *watchdogStall > 0 {
 		wd := obs.StartWatchdog(obsRun, *watchdogStall, func(si obs.StallInfo) {
@@ -207,8 +202,7 @@ func main() {
 		}
 	}
 	if reg != nil {
-		obsRun.Sample() // final resource sample, so reports carry RSS/heap gauges
-		tl.Stop()       // final timeline tick before the snapshot
+		tl.Stop() // final tick before the snapshot
 		if *timelineFile != "" {
 			if err := tl.WriteJSONLFile(*timelineFile); err != nil {
 				fatal(err)
@@ -234,19 +228,6 @@ func main() {
 				rr.Attrib = obs.Attribute(graph.Graph())
 			}
 			if err := rr.WriteJSONFile(*reportFile); err != nil {
-				fatal(err)
-			}
-		}
-		if *metricsFile != "" {
-			f, err := os.Create(*metricsFile)
-			if err != nil {
-				fatal(err)
-			}
-			if err := report.WriteJSON(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
 				fatal(err)
 			}
 		}

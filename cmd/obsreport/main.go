@@ -17,9 +17,10 @@
 //	obsreport -format json ...                        # machine-readable, any mode
 //
 // Metric names are the flattened namespace of the run report: counters
-// keep their report names (coverage_tests, subsumption_nodes, …), phases
-// become <phase>_seconds and <phase>_calls, span aggregates become
-// span_<name>_seconds and span_<name>_calls, histogram percentiles become
+// keep their report names (coverage_tests, subsumption_nodes, …), span
+// aggregates become span_<name>_seconds and span_<name>_calls (reports
+// written before spans replaced phases also carry <phase>_seconds and
+// <phase>_calls), histogram percentiles become
 // hist_<name>_p50/_p95/_p99/_count, gauges (rss_peak_bytes, …) keep their
 // names, elapsed_seconds and the definition_* stats are included,
 // timeline digests appear as timeline_<series>_{mean,min,max,last,count},

@@ -234,6 +234,43 @@ func TestWatchedMetricMissingFromOneReportExitsOne(t *testing.T) {
 	}
 }
 
+// TestReportWithPhasesStillDiffs: a report written before spans became the
+// only timing primitive carries a metrics.phases table. It must still load
+// and diff against a current report; a gate on one of its phase metrics
+// fails as missing from the new report, like any vanished metric.
+func TestReportWithPhasesStillDiffs(t *testing.T) {
+	dir := t.TempDir()
+	oldP := filepath.Join(dir, "old.json")
+	old := `{"tool": "castor", "elapsed_seconds": 1.0,
+	  "metrics": {"counters": {"coverage_tests": 100},
+	    "phases": {"coverage_testing": {"seconds": 0.25, "calls": 12}},
+	    "spans": {"coverage_batch": {"seconds": 0.24, "calls": 12}}}}`
+	if err := os.WriteFile(oldP, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	newP := writeReportFull(t, dir, "new.json", obs.Report{
+		Counters: map[string]int64{"coverage_tests": 100},
+		Spans:    map[string]obs.SpanStat{"coverage_batch": {Seconds: 0.25, Calls: 12}},
+	}, 1.0)
+
+	var out, errw strings.Builder
+	if code := run([]string{"-watch", "coverage_tests,span_coverage_batch_calls", oldP, newP}, &out, &errw); code != 0 {
+		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
+	}
+	if !strings.Contains(out.String(), "coverage_testing_seconds") {
+		t.Errorf("diff table lacks the old report's phase metric:\n%s", out.String())
+	}
+
+	out.Reset()
+	errw.Reset()
+	if code := run([]string{"-watch", "coverage_testing_seconds", oldP, newP}, &out, &errw); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
+	}
+	if !strings.Contains(errw.String(), `watched metric "coverage_testing_seconds" missing from the new report`) {
+		t.Errorf("stderr does not name the missing phase metric:\n%s", errw.String())
+	}
+}
+
 // writeTimelineReport marshals a run report carrying a timeline digest.
 func writeTimelineReport(t *testing.T, dir, name string, busyMean float64) string {
 	t.Helper()

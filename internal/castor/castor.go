@@ -173,7 +173,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 	run := params.Obs
 	prov := run.Prov()
 	sb := run.StartSpan("bottom_clause", obs.F("seed", seed.String()))
-	tb := run.StartPhase(obs.PBottom)
 	var bottom *logic.Clause
 	var bottomINDs []string
 	if prov.Enabled() {
@@ -190,7 +189,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 	} else {
 		bottom = BottomClause(prob, plan, seed, params)
 	}
-	run.EndPhase(obs.PBottom, tb)
 	sb.Annotate(obs.F("literals", len(bottom.Body)), obs.F("vars", bottom.NumVars()))
 	sb.End()
 	run.Inc(obs.CBottomClauses)
@@ -201,9 +199,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept, INDs: bottomINDs,
 	})
 	if params.Minimize && len(bottom.Body) <= reduceCutoff {
-		tm := run.StartPhase(obs.PMinimize)
 		minimized := subsume.ReduceR(run, bottom)
-		run.EndPhase(obs.PMinimize, tm)
 		if prov.Enabled() && !minimized.Equal(bottom) {
 			rootID = prov.Node(obs.ProvNode{
 				Parents: []uint64{rootID}, Step: obs.StepMinimize, Seed: seed.String(),
@@ -242,7 +238,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 	if width < 1 {
 		width = 1
 	}
-	tbeam := run.StartPhase(obs.PBeam)
 	for iter := 0; ; iter++ {
 		sr := run.StartSpan("beam_round", obs.F("iter", iter), obs.F("beam", len(beam)))
 		best := beam[0]
@@ -355,7 +350,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score))
 		sr.End()
 	}
-	run.EndPhase(obs.PBeam, tbeam)
 	best := beam[0]
 	for _, b := range beam {
 		if b.score > best.score {
@@ -363,11 +357,9 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		}
 	}
 	sn := run.StartSpan("negative_reduction", obs.F("literals", len(best.clause.Body)))
-	tn := run.StartPhase(obs.PNegReduce)
 	// Reduction only generalizes, so the winner's negative cover seeds the
 	// known-covered shortcut for every re-test inside.
 	reduced := NegativeReduce(tester, plan, best.clause, prob.Neg, best.negCovered)
-	run.EndPhase(obs.PNegReduce, tn)
 	sn.Annotate(obs.F("kept", len(reduced.Body)))
 	sn.End()
 	finalID := best.provID
@@ -379,9 +371,7 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 		})
 	}
 	if params.Minimize && len(reduced.Body) <= reduceCutoff {
-		tm := run.StartPhase(obs.PMinimize)
 		minimized := subsume.ReduceR(run, reduced)
-		run.EndPhase(obs.PMinimize, tm)
 		if prov.Enabled() && !minimized.Equal(reduced) {
 			prov.Node(obs.ProvNode{
 				Parents: []uint64{finalID}, Step: obs.StepMinimize, Seed: seed.String(),

@@ -148,8 +148,8 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 		// (and may trip) during the learn; trips must not perturb learning.
 		wd := obs.StartWatchdog(params.Obs, 25*time.Millisecond, nil)
 		defer wd.Stop()
-		smp := obs.StartSampler(params.Obs, 5*time.Millisecond)
-		defer smp.Stop()
+		tl := obs.StartTimeline(params.Obs, 5*time.Millisecond)
+		defer tl.Stop()
 		def, err := New().Learn(prob, params)
 		if err != nil {
 			return "", err

@@ -50,8 +50,8 @@ func TestObservationDoesNotChangeLearning(t *testing.T) {
 			t.Errorf("counter %s stayed zero over a full Castor run", c)
 		}
 	}
-	if reg.PhaseTime(obs.PBeam) <= 0 || reg.PhaseTime(obs.PCoverage) <= 0 {
-		t.Error("phase timers stayed zero over a full Castor run")
+	if reg.SpanTime("beam_round") <= 0 || reg.SpanTime("score_batch") <= 0 {
+		t.Error("span timers stayed zero over a full Castor run")
 	}
 
 	// And the trace must be line-parseable with the core event sequence.
@@ -76,8 +76,8 @@ func TestObservationDoesNotChangeLearning(t *testing.T) {
 }
 
 // TestRuntimeHealthStackDoesNotChangeLearning: the full runtime-health
-// stack — flight recorder, stall watchdog, resource sampler, latency
-// histograms — must leave the learned definition byte-identical to an
+// stack — flight recorder, stall watchdog, timeline resource samples,
+// latency histograms — must leave the learned definition byte-identical to an
 // unobserved run, while actually populating its distributions and gauges.
 func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 	learn := func(run *obs.Run) string {
@@ -85,7 +85,7 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 		prob := w.ProblemOriginal()
 		params := ilp.Defaults()
 		// Subsumption-mode coverage so both latency histograms
-		// (coverage_batch and subsumption_probe) are on the hot path.
+		// (span_coverage_batch and subsumption_probe) are on the hot path.
 		params.CoverageMode = ilp.CoverageSubsumption
 		params.Obs = run
 		def, err := New().Learn(prob, params)
@@ -101,9 +101,9 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 	fr := obs.NewFlightRecorder(4096)
 	run := obs.NewRun(nil, reg).WithFlightRecorder(fr)
 	wd := obs.StartWatchdog(run, 20*time.Millisecond, nil)
-	smp := obs.StartSampler(run, 5*time.Millisecond)
+	tl := obs.StartTimeline(run, 5*time.Millisecond)
 	observed := learn(run)
-	smp.Stop()
+	tl.Stop()
 	wd.Stop()
 
 	if plain != observed {
@@ -111,7 +111,7 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 	}
 
 	rep := reg.Snapshot()
-	for _, name := range []string{"subsumption_probe", "coverage_batch"} {
+	for _, name := range []string{"subsumption_probe", "span_coverage_batch"} {
 		hs, ok := rep.Histograms[name]
 		if !ok || hs.Count == 0 {
 			t.Errorf("histogram %s empty over a full Castor run (report: %v)", name, rep.Histograms)
@@ -131,10 +131,10 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 	}
 }
 
-// TestTelemetryStackDoesNotChangeLearning: the PR-9 telemetry stack — the
+// TestTelemetryStackDoesNotChangeLearning: the telemetry stack — the
 // embedded metric timeline, pool utilization accounting (explicit
 // multi-worker parallelism so the shard pool actually engages), and the
-// runtime/metrics bridge fed by the sampler — must leave the learned
+// runtime/metrics bridge fed by the timeline's samples — must leave the learned
 // definition byte-identical to an unobserved serial-friendly run, in both
 // coverage modes.
 func TestTelemetryStackDoesNotChangeLearning(t *testing.T) {

@@ -3,7 +3,6 @@ package coverage
 import (
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -39,9 +38,6 @@ type Engine struct {
 	workers int
 	cache   *Cache // nil disables memoization
 	run     *obs.Run
-	// batchHist is the pre-resolved coverage-batch latency histogram, nil
-	// on unobserved runs (no name lookup, no clock read on the nop path).
-	batchHist *obs.Histogram
 	// costFn sizes example shards; nil means uniform cost.
 	costFn CostFunc
 	// util accumulates pool busy/idle utilization across every pool this
@@ -56,9 +52,6 @@ func NewEngine(cover CoverFunc, workers int, cache *Cache, run *obs.Run) *Engine
 		workers = 1
 	}
 	en := &Engine{cover: cover, workers: workers, cache: cache, run: run}
-	if reg := run.Registry(); reg != nil {
-		en.batchHist = reg.Histogram("coverage_batch")
-	}
 	en.util = newPoolUtil(run)
 	return en
 }
@@ -85,21 +78,20 @@ func (en *Engine) exampleCosts(examples []logic.Atom) []int64 {
 
 // shardCount picks how many shards a round of items should split into:
 // an oversubscription factor over the worker count for load balancing,
-// coarsened when the coverage_batch histogram says individual tests are
+// coarsened when the batch spans' wall time says individual tests are
 // expensive enough that finer shards would be pure bookkeeping.
 func (en *Engine) shardCount(items int) int {
 	want := en.workers * shardOversub
-	if en.batchHist != nil {
-		if reg := en.run.Registry(); reg != nil {
-			if tests := reg.Get(obs.CCoverageTests); tests > 0 {
-				if avg := en.batchHist.Sum().Nanoseconds() / tests; avg > 0 {
-					perShard := int(targetShardNS / avg)
-					if perShard < 1 {
-						perShard = 1
-					}
-					if coarse := items / perShard; coarse < want {
-						want = coarse
-					}
+	if reg := en.run.Registry(); reg != nil {
+		if tests := reg.Get(obs.CCoverageTests); tests > 0 {
+			batchNS := (reg.SpanTime("coverage_batch") + reg.SpanTime("score_batch")).Nanoseconds()
+			if avg := batchNS / tests; avg > 0 {
+				perShard := int(targetShardNS / avg)
+				if perShard < 1 {
+					perShard = 1
+				}
+				if coarse := items / perShard; coarse < want {
+					want = coarse
 				}
 			}
 		}
@@ -128,12 +120,7 @@ func (en *Engine) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bits
 	if en.run.Spanning() {
 		sp = en.run.StartSpan("coverage_batch", obs.F("examples", len(examples)))
 	}
-	start := en.run.StartPhase(obs.PCoverage)
 	out := en.coveredSet(c, examples, known, nil)
-	en.run.EndPhase(obs.PCoverage, start)
-	if en.batchHist != nil && !start.IsZero() {
-		en.batchHist.Observe(time.Since(start))
-	}
 	if sp != nil {
 		sp.Annotate(obs.F("covered", out.Count()))
 		sp.End()
@@ -141,7 +128,7 @@ func (en *Engine) CoveredSet(c *logic.Clause, examples []logic.Atom, known *Bits
 	return out
 }
 
-// coveredSet is CoveredSet without the phase timer, with an explicit pool
+// coveredSet is CoveredSet without the span, with an explicit pool
 // (nil runs inline) so ScoreBatch can reuse its workers.
 func (en *Engine) coveredSet(c *logic.Clause, examples []logic.Atom, known *Bitset, pl *pool) *Bitset {
 	if en.cache == nil {
@@ -302,15 +289,6 @@ func (en *Engine) ScoreBatch(cands []Candidate, pos, neg []logic.Atom, floor, ke
 		sp = en.run.StartSpan("score_batch", obs.F("candidates", len(cands)))
 	}
 	defer sp.End()
-	start := en.run.StartPhase(obs.PCoverage)
-	defer en.run.EndPhase(obs.PCoverage, start)
-	if en.batchHist != nil {
-		defer func() {
-			if !start.IsZero() {
-				en.batchHist.Observe(time.Since(start))
-			}
-		}()
-	}
 
 	out := make([]Score, len(cands))
 	if len(cands) == 0 {

@@ -68,8 +68,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	clause := logic.NewClause(head)
 	varDomains := headDomains(prob.Target)
 	nextVar := head.Arity()
-	tbeam := run.StartPhase(obs.PBeam)
-	defer run.EndPhase(obs.PBeam, tbeam)
 	prov := run.Prov()
 	var provID uint64 // node of the clause as grown so far
 

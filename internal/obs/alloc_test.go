@@ -17,7 +17,6 @@ func TestNilRunFastPathAllocs(t *testing.T) {
 		"Emit":          func() { r.Emit("covering.accepted") },
 		"Inc":           func() { r.Inc(CCoverageTests) },
 		"Add":           func() { r.Add(CTuplesScanned, 42) },
-		"Phase":         func() { r.EndPhase(PCoverage, r.StartPhase(PCoverage)) },
 		"Span":          func() { r.StartSpan("learn").End() },
 		"WorkerSpan":    func() { r.StartWorkerSpan(nil, "shard", 1, 0).End() },
 		"CurrentSpan":   func() { _ = r.CurrentSpan() },
@@ -25,13 +24,11 @@ func TestNilRunFastPathAllocs(t *testing.T) {
 		"Tracing":       func() { _ = r.Tracing() },
 		"Spanning":      func() { _ = r.Spanning() },
 		"Registry":      func() { _ = r.Registry() },
-		"Observe":       func() { r.Observe("subsumption_probe", time.Millisecond) },
 		"Heartbeat":     func() { r.Heartbeat() },
 		"Sample":        func() { r.Sample() },
 		"Flight":        func() { _ = r.Flight() },
 		"FlightRecord":  func() { fr.Record(FKMark, "m", 0, 0) },
 		"StartWatchdog": func() { StartWatchdog(r, time.Second, nil).Stop() },
-		"StartSampler":  func() { StartSampler(r, time.Second).Stop() },
 		"StartTimeline": func() { StartTimeline(r, time.Second).Stop() },
 		"TimelineSummary": func() {
 			var tl *Timeline

@@ -13,7 +13,7 @@ import (
 
 // The flight recorder is the crash-evidence layer: a fixed-size ring of
 // the most recent observability events (span begins/ends, counter
-// movement, watchdog and resource-sampler observations), recorded
+// movement, watchdog and resource samples), recorded
 // continuously at near-zero cost and dumped as JSONL when something goes
 // wrong — a SIGQUIT, a watchdog stall, a panic inside Learn, or an
 // operator hitting /debug/flightrecorder. A killed 10-minute HIV learn
@@ -35,13 +35,13 @@ const (
 	// FKSpanEnd marks a span closing; Value is the duration in ns, Aux the
 	// span ID.
 	FKSpanEnd
-	// FKCounter is a counter delta observed by the resource sampler; Value
-	// is the delta since the previous sample, Aux the new total.
+	// FKCounter is a counter delta observed by a timeline tick; Value is
+	// the delta since the previous tick, Aux the new total.
 	FKCounter
 	// FKWatchdog is a watchdog stall detection; Value is the stalled
 	// interval in ns, Aux the trip count.
 	FKWatchdog
-	// FKSample is one resource-sampler measurement; Value is the measured
+	// FKSample is one resource measurement (Run.Sample); Value is the measured
 	// quantity (bytes, count).
 	FKSample
 	// FKMark is a free-form marker (dump reasons, run boundaries).
@@ -112,7 +112,7 @@ func (f *FlightRecorder) SetDumpPath(path string) {
 }
 
 // nameID interns a record name. The sync.Map fast path is lock-free once
-// the vocabulary (span kinds, counter names, sampler fields) has been
+// the vocabulary (span kinds, counter names, sample fields) has been
 // seen once.
 func (f *FlightRecorder) nameID(name string) uint32 {
 	if name == "" {
@@ -172,7 +172,7 @@ type FlightRecord struct {
 	// Kind is the record type (span_start, span_end, counter,
 	// watchdog_stall, sample, mark).
 	Kind string `json:"kind"`
-	// Name is the span kind, counter, or sampler field the record is about.
+	// Name is the span kind, counter, or sample field the record is about.
 	Name string `json:"name,omitempty"`
 	// Value is the kind-specific payload: span ID, duration ns, counter
 	// delta, stalled ns, or measured quantity.

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Latency histograms complement the registry's accumulated phase/span
+// Latency histograms complement the registry's accumulated span
 // timers with *distributions*: a multi-minute HIV learn whose p50
 // coverage batch is 2ms but whose p99 is 4s has a problem the mean
 // hides. Buckets are logarithmic — powers of two of one microsecond —
@@ -80,13 +80,12 @@ func (h *Histogram) observeN(d time.Duration, n int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the accumulated observed duration. Together with an
-// observation or test counter it yields the average unit cost consumers
-// like the coverage engine's shard sizing need without a full Snapshot.
+// Sum returns the accumulated observed duration, without a full
+// Snapshot.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
 
-// reset zeroes the histogram (registry Reset support; not atomic with
-// respect to concurrent observers).
+// reset zeroes the histogram (not atomic with respect to concurrent
+// observers).
 func (h *Histogram) reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
@@ -137,7 +136,7 @@ func bucketQuantile(buckets []int64, total int64, q float64) float64 {
 			return histBound(i)
 		}
 	}
-	return 2 * histBound(numHistBuckets - 1)
+	return 2 * histBound(numHistBuckets-1)
 }
 
 // HistStat is the report entry of one histogram: observation count,

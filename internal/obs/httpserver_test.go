@@ -15,9 +15,8 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 	reg := NewRegistry()
 	reg.counters[CCoverageTests].Store(7)
 	run := NewRun(nil, reg)
-	run.EndPhase(PCoverage, run.StartPhase(PCoverage))
 	run.StartSpan("learn").End()
-	run.Observe("subsumption_probe", 3*time.Millisecond)
+	reg.Histogram("subsumption_probe").Observe(3 * time.Millisecond)
 	run.Sample()
 
 	srv := httptest.NewServer(NewHandler(reg, nil, nil, nil, nil))
@@ -46,16 +45,9 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 	if !strings.Contains(text, "sirl_coverage_tests 7") {
 		t.Error("/metrics does not carry the counter value")
 	}
-	for p := Phase(0); p < numPhases; p++ {
-		if !strings.Contains(text, fmt.Sprintf("sirl_phase_seconds{phase=%q}", p.String())) {
-			t.Errorf("/metrics missing phase %q", p)
-		}
-	}
 	// Accumulated wall-time tables are point-in-time totals, not monotone
 	// scrape series: they must be gauges, their call counts counters.
 	for _, want := range []string{
-		"# HELP sirl_phase_seconds ", "# TYPE sirl_phase_seconds gauge",
-		"# HELP sirl_phase_calls ", "# TYPE sirl_phase_calls counter",
 		"# HELP sirl_span_seconds ", "# TYPE sirl_span_seconds gauge",
 		"# HELP sirl_span_calls ", "# TYPE sirl_span_calls counter",
 	} {
@@ -73,13 +65,12 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 		`sirl_duration_seconds_bucket{name="subsumption_probe",le="+Inf"} 1`,
 		`sirl_duration_seconds_count{name="subsumption_probe"} 1`,
 		`sirl_duration_seconds_count{name="span_learn"} 1`,
-		`sirl_duration_seconds_count{name="phase_coverage_testing"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// Resource-sampler gauges are TYPE gauge.
+	// Resource gauges are TYPE gauge.
 	for _, want := range []string{"# TYPE sirl_rss_bytes gauge", "sirl_rss_peak_bytes "} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

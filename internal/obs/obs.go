@@ -1,22 +1,28 @@
 // Package obs is the instrumentation layer of the repository: structured
-// trace events, atomic counters, per-phase wall-clock timers and nested
-// spans for the learning pipeline (bottom-clause construction, beam
-// search, coverage testing, negative reduction, minimization), plus the
-// exporters that make them operable — a Chrome-trace (Perfetto) span
-// exporter, a Prometheus/-progress introspection HTTP server, and a
-// machine-diffable run report.
+// trace events, atomic counters and nested spans for the learning pipeline
+// (bottom-clause construction, beam search, coverage testing, negative
+// reduction, minimization), plus the exporters that make them operable —
+// a Chrome-trace (Perfetto) span exporter, a Prometheus/-progress
+// introspection HTTP server, a metric timeline, and a machine-diffable run
+// report.
+//
+// Spans are the only timing primitive: every timed region is a span, the
+// registry aggregates wall time, call counts and a duration histogram per
+// span kind, and the span graph attributes self and critical-path time to
+// each kind. One ticker, the Timeline, samples process resources and the
+// registry for the whole run.
 //
 // The paper's performance claims (§7.5) — parallel coverage testing
 // (§7.5.3), the coverage cache (§7.5.4), stored-procedure plans (§7.5.2),
 // θ-subsumption minimization (§7.5.5) — are reproduced by the learner
 // packages; obs makes them visible: every counter below maps to one of
-// those optimizations, so a metrics report shows whether they fire.
+// those optimizations, so a run report shows whether they fire.
 //
 // The central type is *Run, a pairing of an optional Tracer (event sink)
-// with an optional *Registry (counters/timers). A nil *Run is the nop
-// default: every method is nil-safe and returns immediately, so
-// uninstrumented runs pay only a pointer test on the hot paths. Learners
-// receive the run through ilp.Params.Obs.
+// with an optional *Registry (counters, span aggregates, histograms). A
+// nil *Run is the nop default: every method is nil-safe and returns
+// immediately, so uninstrumented runs pay only a pointer test on the hot
+// paths. Learners receive the run through ilp.Params.Obs.
 package obs
 
 import (
@@ -191,43 +197,6 @@ func (c Counter) String() string {
 	return counterNames[c]
 }
 
-// Phase identifies one timed phase of the learning pipeline.
-type Phase int
-
-const (
-	// PBottom is bottom-clause construction (saturation + IND chase).
-	PBottom Phase = iota
-	// PBeam is the generalization search (beam search, rlgg generation,
-	// or FOIL's greedy literal addition).
-	PBeam
-	// PCoverage is batched coverage testing (CoveredSet calls). In
-	// parallel runs this is the wall time of the batch, not CPU time.
-	PCoverage
-	// PNegReduce is negative reduction (§7.2.2).
-	PNegReduce
-	// PMinimize is θ-subsumption minimization (§7.5.5).
-	PMinimize
-
-	numPhases
-)
-
-// phaseNames are the stable report keys, in Phase order.
-var phaseNames = [numPhases]string{
-	PBottom:    "bottom_construction",
-	PBeam:      "generalization_search",
-	PCoverage:  "coverage_testing",
-	PNegReduce: "negative_reduction",
-	PMinimize:  "minimization",
-}
-
-// String returns the report key of the phase.
-func (p Phase) String() string {
-	if p < 0 || p >= numPhases {
-		return "unknown"
-	}
-	return phaseNames[p]
-}
-
 // Field is one key/value pair of a trace event. Events carry ordered
 // fields (not a map) so sinks emit them deterministically.
 type Field struct {
@@ -329,20 +298,9 @@ func (r *Run) Heartbeat() {
 	r.beat.Add(1)
 }
 
-// Observe records a duration into the named registry histogram. Span and
-// phase distributions are recorded automatically; Observe is for ad-hoc
-// latencies (hot paths should resolve the histogram once via
-// Registry.Histogram instead of paying the name lookup per call).
-func (r *Run) Observe(name string, d time.Duration) {
-	if r == nil || r.reg == nil {
-		return
-	}
-	r.reg.Histogram(name).Observe(d)
-}
-
 // WithFlightRecorder returns a run that additionally records span events
-// into the flight recorder (samplers and watchdogs attached to the run
-// find it there too). The receiver is not modified; a nil recorder
+// into the flight recorder (the timeline and watchdogs attached to the
+// run find it there too). The receiver is not modified; a nil recorder
 // returns the receiver unchanged, and a nil receiver with a live
 // recorder returns a flight-only run, so flag wiring stays unconditional.
 func (r *Run) WithFlightRecorder(f *FlightRecorder) *Run {
@@ -361,26 +319,4 @@ func (r *Run) Flight() *FlightRecorder {
 		return nil
 	}
 	return r.flight
-}
-
-// StartPhase begins timing a phase. Without a registry it returns the
-// zero time and skips the clock read entirely; EndPhase understands that.
-func (r *Run) StartPhase(p Phase) time.Time {
-	if r == nil || r.reg == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// EndPhase accumulates the elapsed wall time of a phase started with
-// StartPhase, and feeds the phase's duration histogram so reports carry
-// the distribution, not just the total.
-func (r *Run) EndPhase(p Phase, start time.Time) {
-	if r == nil || r.reg == nil || start.IsZero() {
-		return
-	}
-	d := time.Since(start)
-	r.reg.phaseNS[p].Add(int64(d))
-	r.reg.phaseCalls[p].Add(1)
-	r.reg.phaseHist[p].Observe(d)
 }

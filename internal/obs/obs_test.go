@@ -23,11 +23,7 @@ func TestNilRunIsSafe(t *testing.T) {
 	r.Emit("x", F("k", 1))
 	r.Inc(CCoverageTests)
 	r.Add(CTuplesScanned, 7)
-	start := r.StartPhase(PBeam)
-	if !start.IsZero() {
-		t.Error("nil run read the clock")
-	}
-	r.EndPhase(PBeam, start)
+	r.StartSpan("beam_round").End()
 }
 
 func TestNewRunCollapsesToNil(t *testing.T) {
@@ -42,15 +38,10 @@ func TestNewRunCollapsesToNil(t *testing.T) {
 	}
 }
 
-func TestCounterAndPhaseNames(t *testing.T) {
+func TestCounterNames(t *testing.T) {
 	for c := Counter(0); c < numCounters; c++ {
 		if c.String() == "" || c.String() == "unknown" {
 			t.Errorf("counter %d has no name", c)
-		}
-	}
-	for p := Phase(0); p < numPhases; p++ {
-		if p.String() == "" || p.String() == "unknown" {
-			t.Errorf("phase %d has no name", p)
 		}
 	}
 	if Counter(-1).String() != "unknown" || numCounters.String() != "unknown" {
@@ -72,8 +63,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < each; i++ {
 				run.Inc(CCoverageTests)
 				run.Add(CTuplesScanned, 2)
-				s := run.StartPhase(PCoverage)
-				run.EndPhase(PCoverage, s)
+				run.StartWorkerSpan(nil, "coverage_batch", 0, 0).End()
 			}
 		}()
 	}
@@ -84,51 +74,31 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := reg.Get(CTuplesScanned); got != 2*workers*each {
 		t.Errorf("tuples_scanned = %d, want %d", got, 2*workers*each)
 	}
-	if reg.Snapshot().Phases[PCoverage.String()].Calls != workers*each {
-		t.Error("phase call count wrong")
+	if reg.Snapshot().Spans["coverage_batch"].Calls != workers*each {
+		t.Error("span call count wrong")
 	}
 	reg.Reset()
-	if reg.Get(CCoverageTests) != 0 || reg.PhaseTime(PCoverage) != 0 {
+	if reg.Get(CCoverageTests) != 0 || reg.SpanTime("coverage_batch") != 0 {
 		t.Error("Reset left state behind")
 	}
 }
 
-func TestPhaseTiming(t *testing.T) {
-	reg := NewRegistry()
-	run := NewRun(nil, reg)
-	s := run.StartPhase(PBottom)
-	time.Sleep(2 * time.Millisecond)
-	run.EndPhase(PBottom, s)
-	if reg.PhaseTime(PBottom) < time.Millisecond {
-		t.Errorf("phase time %v too small", reg.PhaseTime(PBottom))
-	}
-	// A zero start (from a nop run handed to EndPhase of a live one by
-	// mistake) must not poison the accumulator.
-	run.EndPhase(PBottom, time.Time{})
-	if reg.Snapshot().Phases[PBottom.String()].Calls != 1 {
-		t.Error("zero start time counted as a call")
-	}
-}
-
 // TestSnapshotJSON: the report must round-trip as JSON with a stable
-// schema — every counter and phase present even when zero.
+// schema — every counter present even when zero.
 func TestSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
 	run.Inc(CSubsumptionCalls)
-	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
+	b, err := json.Marshal(reg.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("report JSON does not parse: %v", err)
 	}
 	if len(back.Counters) != int(numCounters) {
 		t.Errorf("report has %d counters, want %d", len(back.Counters), numCounters)
-	}
-	if len(back.Phases) != int(numPhases) {
-		t.Errorf("report has %d phases, want %d", len(back.Phases), numPhases)
 	}
 	if back.Counters["subsumption_calls"] != 1 {
 		t.Errorf("subsumption_calls = %d", back.Counters["subsumption_calls"])

@@ -14,9 +14,9 @@ import (
 
 // RunReport is the machine-diffable record one run writes with -report:
 // what ran (tool, dataset, learner, parameters), how long it took, every
-// counter and timer the registry accumulated, and what came out (learned
-// definition size and quality). cmd/obsreport diffs two of these and gates
-// on regressions.
+// counter and span aggregate the registry accumulated, and what came out
+// (learned definition size and quality). cmd/obsreport diffs two of these
+// and gates on regressions.
 type RunReport struct {
 	// Tool is the producing binary ("castor", "experiments").
 	Tool string `json:"tool"`
@@ -35,7 +35,8 @@ type RunReport struct {
 	Env *RunEnv `json:"env,omitempty"`
 	// ElapsedSeconds is the end-to-end wall time of the run.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// Metrics is the registry snapshot: counters, phases, span aggregates.
+	// Metrics is the registry snapshot: counters, span aggregates,
+	// histograms, gauges.
 	Metrics Report `json:"metrics"`
 	// Timeline is the whole-run digest of the metric timeline, when the
 	// run sampled one: per-series mean/min/max/last over every tick.
@@ -46,6 +47,12 @@ type RunReport struct {
 	Attrib *AttribReport `json:"attrib,omitempty"`
 	// Definition summarizes the learned theory, when the tool learned one.
 	Definition *DefinitionStats `json:"definition,omitempty"`
+
+	// oldPhases is the metrics.phases table of a loaded report written
+	// before spans became the only timing primitive. Diffs keep its
+	// <phase>_seconds/<phase>_calls metrics, so a gate still watching one
+	// fails as missing from the newer report instead of vanishing.
+	oldPhases map[string]SpanStat
 }
 
 // RunEnv is the reproducibility context of one run: enough to rerun the
@@ -126,6 +133,14 @@ func LoadRunReport(path string) (*RunReport, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	var old struct {
+		Metrics struct {
+			Phases map[string]SpanStat `json:"phases"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(b, &old); err == nil {
+		r.oldPhases = old.Metrics.Phases
+	}
 	return &r, nil
 }
 
@@ -201,6 +216,10 @@ func flatten(r *RunReport) (map[string]float64, map[string]string) {
 		fam[name] = "report"
 	}
 	put("elapsed_seconds", r.ElapsedSeconds)
+	for name, s := range r.oldPhases {
+		out[name+"_seconds"], fam[name+"_seconds"] = s.Seconds, "phase"
+		out[name+"_calls"], fam[name+"_calls"] = float64(s.Calls), "phase"
+	}
 	if t := r.Timeline; t != nil {
 		for name, s := range t.Series {
 			base := "timeline_" + name

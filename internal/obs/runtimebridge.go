@@ -9,8 +9,8 @@ import (
 
 // The runtime/metrics bridge pulls the Go runtime's own telemetry —
 // GC pause and scheduler-latency distributions, the pacer's heap goal,
-// GOMAXPROCS, OS thread creation — into the registry on the same sampler
-// cadence as the process gauges, so /metrics, run reports and the
+// GOMAXPROCS, OS thread creation — into the registry on the timeline's
+// cadence, next to the process gauges, so /metrics, run reports and the
 // timeline see scheduler and GC pressure next to the learner's own
 // counters. The runtime exports cumulative histograms; the bridge keeps
 // the previous bucket counts and folds only the delta into the obs
@@ -140,8 +140,8 @@ func foldHistDelta(h *Histogram, rh *metrics.Float64Histogram, last []uint64) []
 
 // sampleRuntime folds one runtime/metrics reading into the registry,
 // building the bridge lazily on first use. Called from Run.Sample, so
-// the resource sampler and the timeline share one delta stream and never
-// double-count histogram growth.
+// every sample shares one delta stream and never double-counts histogram
+// growth.
 func (g *Registry) sampleRuntime() {
 	g.rtMu.Lock()
 	defer g.rtMu.Unlock()

@@ -52,8 +52,8 @@ func TestMaxGaugeKeepsPeak(t *testing.T) {
 }
 
 func TestSampleDoesNotBeatHeartbeat(t *testing.T) {
-	// The sampler must not feed the stall watchdog: a stalled run stays
-	// stalled even while resource sampling continues.
+	// Sampling must not feed the stall watchdog: a stalled run stays
+	// stalled even while the timeline keeps sampling.
 	run := NewRun(nil, NewRegistry())
 	before := run.beat.Load()
 	run.Sample()
@@ -62,40 +62,29 @@ func TestSampleDoesNotBeatHeartbeat(t *testing.T) {
 	}
 }
 
-func TestSamplerNilCases(t *testing.T) {
-	if s := StartSampler(nil, time.Second); s != nil {
-		t.Error("nil run did not yield a nil sampler")
-	}
-	if s := StartSampler(NewRun(nil, NewRegistry()), 0); s != nil {
-		t.Error("zero interval did not yield a nil sampler")
-	}
-	var s *Sampler
-	s.Stop() // must not panic
-}
-
-func TestSamplerImmediateAndFinalTicks(t *testing.T) {
+func TestTimelineImmediateAndFinalSamples(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
 	// A huge interval: only the immediate start tick and the final Stop
 	// tick ever run, so even sub-interval runs report gauges.
-	s := StartSampler(run, time.Hour)
+	tl := StartTimeline(run, time.Hour)
 	if reg.Gauge(GSamples) < 1 {
-		t.Error("no immediate sample at StartSampler")
+		t.Error("no immediate sample at StartTimeline")
 	}
-	s.Stop()
+	tl.Stop()
 	if got := reg.Gauge(GSamples); got != 2 {
 		t.Errorf("resource_samples = %g, want 2 (start + final)", got)
 	}
 }
 
-func TestSamplerRecordsCounterDeltas(t *testing.T) {
+func TestTimelineRecordsCounterDeltas(t *testing.T) {
 	reg := NewRegistry()
 	fr := NewFlightRecorder(128)
 	run := NewRun(nil, reg).WithFlightRecorder(fr)
 	run.Add(CCoverageTests, 40)
-	s := StartSampler(run, time.Hour)
+	tl := StartTimeline(run, time.Hour)
 	run.Add(CCoverageTests, 17)
-	s.Stop() // the final tick sees the movement
+	tl.Stop() // the final tick sees the movement
 
 	recs := fr.Snapshot()
 	var deltas []FlightRecord
@@ -117,10 +106,10 @@ func TestSamplerRecordsCounterDeltas(t *testing.T) {
 	}
 }
 
-func TestSamplerFlightSampleRecords(t *testing.T) {
+func TestTimelineFlightSampleRecords(t *testing.T) {
 	fr := NewFlightRecorder(64)
 	run := NewRun(nil, NewRegistry()).WithFlightRecorder(fr)
-	run.Sample()
+	StartTimeline(run, time.Hour).Stop()
 	seen := map[string]bool{}
 	for _, r := range fr.Snapshot() {
 		if r.Kind == "sample" {

@@ -10,10 +10,13 @@ import (
 	"time"
 )
 
-// The timeline turns the registry's point-in-time snapshots into bounded
-// history: on a fixed tick it samples counter *deltas* (rate, not total),
-// every gauge, and the p50/p99 of every named histogram into per-series
-// fixed-size rings. Memory is hard-bounded — rings never grow and the
+// The timeline is the run's one sampling ticker. Each tick takes a
+// resource sample (see Run.Sample) and turns the registry's point-in-time
+// snapshot into bounded history: counter *deltas* (rate, not total),
+// every gauge, and the p50/p99 of every named histogram go into
+// per-series fixed-size rings, and every counter that moved is also
+// written to the flight recorder as a delta record, so a dump shows which
+// counters were moving (and how fast) in its final window. Memory is hard-bounded — rings never grow and the
 // series table is capped — so the timeline can stay on for a whole
 // multi-hour learn and still answer "when did the workers go idle" at
 // the end, live over GET /timeline or post-hoc from the -timeline JSONL
@@ -43,8 +46,8 @@ type tlSeries struct {
 	head int // next write position
 	n    int // filled entries, ≤ len(ring)
 	// whole-run accumulators
-	count                int64
-	sum, min, max, last  float64
+	count               int64
+	sum, min, max, last float64
 }
 
 func (s *tlSeries) add(p TimelinePoint) {
@@ -93,7 +96,7 @@ type Timeline struct {
 	mu           sync.Mutex
 	series       map[string]*tlSeries
 	dropped      int64 // series refused by the maxSer cap
-	lastCounters map[string]int64
+	lastCounters [numCounters]int64
 	ticks        int64
 	start        time.Time
 
@@ -117,10 +120,9 @@ func StartTimeline(run *Run, interval time.Duration) *Timeline {
 	t := &Timeline{
 		run: run, interval: interval,
 		ringCap: DefaultTimelineCap, maxSer: DefaultTimelineSeries,
-		series:       make(map[string]*tlSeries),
-		lastCounters: make(map[string]int64),
-		start:        time.Now(),
-		stop:         make(chan struct{}), done: make(chan struct{}),
+		series: make(map[string]*tlSeries),
+		start:  time.Now(),
+		stop:   make(chan struct{}), done: make(chan struct{}),
 	}
 	t.tick()
 	go t.loop()
@@ -153,21 +155,27 @@ func (t *Timeline) loop() {
 }
 
 // tick runs one sampling pass: a fresh resource+runtime sample, then one
-// registry snapshot decomposed into series points.
+// registry snapshot decomposed into series points and counter-delta
+// flight records.
 func (t *Timeline) tick() {
 	t.run.Sample() // refresh gauges and the runtime/metrics histograms first
 	rep := t.run.Registry().Snapshot()
+	f := t.run.Flight()
 	now := time.Now().UnixMilli()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ticks++
-	for name, v := range rep.Counters {
-		if v == 0 && t.lastCounters[name] == 0 {
+	for c := Counter(0); c < numCounters; c++ {
+		v, last := rep.Counters[c.String()], t.lastCounters[c]
+		if v == 0 && last == 0 {
 			continue // series appear once a counter first moves
 		}
-		d := v - t.lastCounters[name]
-		t.lastCounters[name] = v
-		t.record(name, TimelinePoint{UnixMs: now, V: float64(d)})
+		d := v - last
+		t.lastCounters[c] = v
+		t.record(c.String(), TimelinePoint{UnixMs: now, V: float64(d)})
+		if f != nil && d != 0 {
+			f.Record(FKCounter, c.String(), d, v)
+		}
 	}
 	for name, v := range rep.Gauges {
 		t.record(name, TimelinePoint{UnixMs: now, V: v})
