@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // learnWithProvenance drives the full CLI on UW-CSE with -provenance and
@@ -15,9 +17,8 @@ func learnWithProvenance(t *testing.T, extra func(*options)) (string, string) {
 	dir := t.TempDir()
 	o := options{
 		dataset: "uwcse", learner: "castor", coverage: "auto",
-		sample: 4, beam: 2, clauseLength: 10, par: 2, seed: 1,
-		provFile:   filepath.Join(dir, "prov.jsonl"),
-		provSample: 1,
+		sample: 4, beam: 2, clauseLength: 10, par: 2,
+		Config: obs.Config{Seed: 1, ProvenancePath: filepath.Join(dir, "prov.jsonl"), ProvenanceSample: 1},
 	}
 	if extra != nil {
 		extra(&o)
@@ -26,7 +27,7 @@ func learnWithProvenance(t *testing.T, extra func(*options)) (string, string) {
 	if err := run(o, &out); err != nil {
 		t.Fatal(err)
 	}
-	return o.provFile, out.String()
+	return o.ProvenancePath, out.String()
 }
 
 // definitionOf extracts the learned-definition block from run output.
@@ -48,7 +49,8 @@ func TestProvenanceFlagDoesNotChangeDefinition(t *testing.T) {
 	var without bytes.Buffer
 	o := options{
 		dataset: "uwcse", learner: "castor", coverage: "auto",
-		sample: 4, beam: 2, clauseLength: 10, par: 2, seed: 1,
+		sample: 4, beam: 2, clauseLength: 10, par: 2,
+		Config: obs.Config{Seed: 1},
 	}
 	if err := run(o, &without); err != nil {
 		t.Fatal(err)
@@ -159,8 +161,8 @@ func TestExplainSubcommand(t *testing.T) {
 // selected clauses.
 func TestProvenanceSamplingFlagsStillCompleteLineage(t *testing.T) {
 	provPath, _ := learnWithProvenance(t, func(o *options) {
-		o.provSample = 10
-		o.provMaxNodes = 50
+		o.ProvenanceSample = 10
+		o.ProvenanceMaxNodes = 50
 	})
 	g, err := loadProvenance(provPath)
 	if err != nil {

@@ -19,8 +19,9 @@
 //	castor -dataset uwcse -trace trace.jsonl -report run.json
 //	castor -dataset uwcse -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-//	# span-level tracing (Perfetto-loadable), live server
-//	castor -dataset uwcse -chrometrace trace.json
+//	# span-level tracing (a .json path writes a Perfetto-loadable Chrome
+//	# trace instead of JSONL), live server
+//	castor -dataset uwcse -trace trace.json
 //	castor -dataset uwcse -http :6060   # /metrics /progress /debug/pprof/
 //
 //	# search-graph provenance and explanations
@@ -41,11 +42,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/castor"
@@ -62,7 +60,8 @@ import (
 )
 
 // options mirrors the command-line flags; run is driven by it so tests
-// can exercise the full pipeline without exec'ing the binary.
+// can exercise the full pipeline without exec'ing the binary. The
+// observability and profiling flags map one to one onto obs.Config.
 type options struct {
 	dataset, variant                       string
 	schemaFile, dataFile, posFile, negFile string
@@ -70,27 +69,11 @@ type options struct {
 	learner                                string
 	coverage                               string // auto|direct|subsumption
 	sample, beam, clauseLength, par        int
-	seed                                   int64
 	scale                                  float64
 	subsetINDs                             bool
+	explainPlan                            bool
 
-	verbose                bool
-	traceFile, chromeFile  string
-	reportFile             string
-	httpAddr               string
-	httpIdle               time.Duration
-	cpuProfile, memProfile string
-
-	flightFile       string
-	watchdogStall    time.Duration
-	watchdogSelftest bool
-	timelineFile     string
-	timelineTick     time.Duration
-
-	provFile     string
-	provMaxNodes int64
-	provSample   int64
-	explainPlan  bool
+	obs.Config
 }
 
 func main() {
@@ -116,26 +99,24 @@ func main() {
 	flag.IntVar(&o.beam, "beam", 2, "beam width")
 	flag.IntVar(&o.clauseLength, "clauselength", 10, "max clause length for top-down learners")
 	flag.IntVar(&o.par, "par", 0, "coverage-test parallelism (0 = all CPU cores)")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed")
+	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
 	flag.Float64Var(&o.scale, "scale", 1, "multiply the generated dataset's entity counts (1 = defaults; see README \"Paper-scale data\")")
 	flag.BoolVar(&o.subsetINDs, "subset-inds", false, "Castor: chase general subset INDs (§7.4)")
-	flag.BoolVar(&o.verbose, "v", false, "log trace events to stderr")
-	flag.StringVar(&o.traceFile, "trace", "", "write a JSONL event trace to this file")
-	flag.StringVar(&o.chromeFile, "chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
-	flag.StringVar(&o.reportFile, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
-	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
-	flag.DurationVar(&o.httpIdle, "http-idle", 0, "keep the -http server alive this long after the run finishes")
-	flag.StringVar(&o.flightFile, "flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
-	flag.DurationVar(&o.watchdogStall, "watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
-	flag.BoolVar(&o.watchdogSelftest, "watchdog-selftest", false, "hold the run idle after learning until the watchdog trips once (CI/debugging)")
-	flag.StringVar(&o.timelineFile, "timeline", "", "write the metric timeline (JSONL) to this file at run end")
-	flag.DurationVar(&o.timelineTick, "timeline-tick", obs.DefaultTimelineTick, "sampling interval of the metric timeline and resource gauges (on with -timeline, -http, -report or -flightrecorder)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
-	flag.StringVar(&o.provFile, "provenance", "", "write the candidate search graph (JSONL) to this file")
-	flag.Int64Var(&o.provMaxNodes, "provenance-max-nodes", 0,
+	flag.BoolVar(&o.Verbose, "v", false, "log trace events to stderr")
+	flag.StringVar(&o.TracePath, "trace", "", "write a span and event trace to this file: Chrome trace-event (Perfetto) JSON if the path ends in .json, JSONL otherwise")
+	flag.StringVar(&o.ReportPath, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
+	flag.StringVar(&o.HTTPAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
+	flag.DurationVar(&o.HTTPIdle, "http-idle", 0, "keep the -http server alive this long after the run finishes")
+	flag.StringVar(&o.FlightPath, "flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
+	flag.DurationVar(&o.WatchdogStall, "watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
+	flag.StringVar(&o.TimelinePath, "timeline", "", "write the metric timeline (JSONL) to this file at run end")
+	flag.DurationVar(&o.TimelineTick, "timeline-tick", obs.DefaultTimelineTick, "sampling interval of the metric timeline and resource gauges (on with -timeline, -http, -report or -flightrecorder)")
+	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile to this file")
+	flag.StringVar(&o.ProvenancePath, "provenance", "", "write the candidate search graph (JSONL) to this file")
+	flag.Int64Var(&o.ProvenanceMaxNodes, "provenance-max-nodes", 0,
 		"cap on recorded provenance nodes (0 = default cap, negative = unlimited); past it pruned candidates are dropped")
-	flag.Int64Var(&o.provSample, "provenance-sample", 1, "record every Nth pruned candidate (kept nodes always recorded)")
+	flag.Int64Var(&o.ProvenanceSample, "provenance-sample", 1, "record every Nth pruned candidate (kept nodes always recorded)")
 	flag.BoolVar(&o.explainPlan, "explain-plan", false, "print the precompiled bottom-clause plan (IND hop table) before learning")
 	flag.Parse()
 
@@ -145,153 +126,43 @@ func main() {
 	}
 }
 
+// learners builds each learner by its -learner name.
+var learners = map[string]func() ilp.Learner{
+	"castor":       func() ilp.Learner { return castor.New() },
+	"foil":         func() ilp.Learner { return foil.New() },
+	"aleph-foil":   func() ilp.Learner { return progol.NewAlephFOIL() },
+	"aleph-progol": func() ilp.Learner { return progol.NewAlephProgol() },
+	"progolem":     func() ilp.Learner { return progolem.New() },
+	"golem":        func() ilp.Learner { return golem.New() },
+}
+
+// run learns once under an observability session opened from the flags.
 func run(o options, out io.Writer) error {
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	// Instrumentation: counters always (they also feed the summary), the
-	// flight recorder always (it is the crash-evidence layer; ~1.5MB),
-	// event sinks only where asked.
-	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(0)
-	fr.SetDumpPath(o.flightFile)
-	sigq := make(chan os.Signal, 1)
-	signal.Notify(sigq, syscall.SIGQUIT)
-	defer signal.Stop(sigq)
-	go func() {
-		// SIGQUIT dumps the ring and keeps running (like a JVM thread
-		// dump), so an operator can probe a live learn repeatedly.
-		for range sigq {
-			fr.DumpNow("sigquit") //nolint:errcheck // best-effort operator dump
-		}
-	}()
-	var tracers []obs.Tracer
-	if o.verbose {
-		tracers = append(tracers, obs.NewTextSink(os.Stderr))
-	}
-	var spanSinks []obs.SpanSink
-	var traceSink *obs.JSONLSink
-	if o.traceFile != "" {
-		s, err := obs.CreateJSONLFile(o.traceFile)
-		if err != nil {
-			return err
-		}
-		// The sink is both a tracer (event lines) and a span sink (span
-		// lines with worker/round tags), so the span graph is
-		// reconstructable offline from the trace file alone.
-		traceSink = s
-		tracers = append(tracers, s)
-		spanSinks = append(spanSinks, s)
-	}
-	var chromeSink *obs.ChromeTraceSink
-	if o.chromeFile != "" {
-		s, err := obs.CreateChromeTraceFile(o.chromeFile)
-		if err != nil {
-			return err
-		}
-		// The sink is both a span sink (slices) and a tracer (instant
-		// markers), so flat events line up with the spans around them.
-		chromeSink = s
-		spanSinks = append(spanSinks, s)
-		tracers = append(tracers, s)
-	}
-	var prog *obs.Progress
-	if o.httpAddr != "" {
-		prog = obs.NewProgress(reg)
-		spanSinks = append(spanSinks, prog)
-	}
-	var graph *obs.GraphSink
-	if o.reportFile != "" || o.httpAddr != "" {
-		// Span-graph collection feeds the report's attribution table and
-		// the live /critpath endpoint.
-		graph = obs.NewGraphSink(0)
-		spanSinks = append(spanSinks, graph)
-	}
-	if spec := os.Getenv("SIRL_TEST_SLOWDOWN"); spec != "" {
-		// Test hook: inject a synthetic sleep into the named span kinds
-		// (kind=duration,...), so CI can verify obsreport -attrib ranks a
-		// known slowdown first. Never affects what is learned — only time.
-		slow, err := obs.ParseSlowdown(spec)
-		if err != nil {
-			return fmt.Errorf("SIRL_TEST_SLOWDOWN: %w", err)
-		}
-		spanSinks = append(spanSinks, slow)
-	}
-	obsRun := obs.NewRun(obs.MultiTracer(tracers...), reg).
-		WithSpans(obs.MultiSpanSink(spanSinks...)).
-		WithFlightRecorder(fr)
-	var tl *obs.Timeline
-	if o.timelineFile != "" || o.httpAddr != "" || o.reportFile != "" || o.flightFile != "" {
-		// The one sampling tick: resource gauges, counter-delta flight
-		// records and the timeline rings, for every output that shows them.
-		tl = obs.StartTimeline(obsRun, o.timelineTick)
-	}
-	if o.httpAddr != "" {
-		srv, err := obs.StartServer(o.httpAddr, reg, prog, fr, tl, graph)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(out, "introspection server on http://%s/ (/metrics /progress /timeline /critpath /debug/flightrecorder /debug/pprof/)\n", srv.Addr())
-	}
-	var wd *obs.Watchdog
-	if o.watchdogStall > 0 {
-		wd = obs.StartWatchdog(obsRun, o.watchdogStall, func(si obs.StallInfo) {
-			fmt.Fprintf(os.Stderr, "watchdog: no heartbeat progress for %s (trip %d); live spans:\n",
-				si.Stalled.Round(time.Millisecond), si.Trips)
-			if len(si.Spans) == 0 {
-				fmt.Fprintln(os.Stderr, "  (no open spans)")
-			}
-			for _, s := range si.Spans {
-				fmt.Fprintf(os.Stderr, "  %s (open %.2fs, id %d)\n", s.Name, s.ElapsedSeconds, s.ID)
-			}
-			fr.DumpNow("watchdog") //nolint:errcheck // best-effort stall dump
-		})
-		defer wd.Stop()
-	}
-	var prov *obs.Prov
-	if o.provFile != "" {
-		p, err := obs.CreateProvenanceFile(o.provFile,
-			obs.ProvOptions{MaxNodes: o.provMaxNodes, SampleEvery: o.provSample})
-		if err != nil {
-			return err
-		}
-		prov = p
-		obsRun = obsRun.WithProvenance(prov)
-	}
-
-	userData := o.schemaFile != ""
-	prob, pos, neg, datasetLabel, err := loadProblem(&o)
+	sess, err := obs.Open(o.Config, out)
 	if err != nil {
 		return err
 	}
-
-	var learner ilp.Learner
-	switch o.learner {
-	case "castor":
-		learner = castor.New()
-	case "foil":
-		learner = foil.New()
-	case "aleph-foil":
-		learner = progol.NewAlephFOIL()
-	case "aleph-progol":
-		learner = progol.NewAlephProgol()
-	case "progolem":
-		learner = progolem.New()
-	case "golem":
-		learner = golem.New()
-	default:
-		return fmt.Errorf("unknown learner %q", o.learner)
+	defer sess.DumpOnPanic()
+	rr, err := learn(&o, sess.Run(), out)
+	if cerr := sess.Close(rr); err == nil {
+		err = cerr
 	}
+	return err
+}
+
+// learn loads the problem, learns, prints the definition and its quality,
+// and returns the run report for the session to complete.
+func learn(o *options, obsRun *obs.Run, out io.Writer) (*obs.RunReport, error) {
+	userData := o.schemaFile != ""
+	prob, pos, neg, datasetLabel, err := loadProblem(o)
+	if err != nil {
+		return nil, err
+	}
+	newLearner, ok := learners[o.learner]
+	if !ok {
+		return nil, fmt.Errorf("unknown learner %q", o.learner)
+	}
+	learner := newLearner()
 
 	params := ilp.Defaults()
 	params.Sample = o.sample
@@ -301,26 +172,24 @@ func run(o options, out io.Writer) error {
 	if params.Parallelism <= 0 {
 		params.Parallelism = runtime.NumCPU()
 	}
-	params.Seed = o.seed
+	params.Seed = o.Seed
 	params.SubsetINDs = o.subsetINDs
 	params.Obs = obsRun
-	mode, err := coverageMode(o.coverage, userData, o.dataset)
-	if err != nil {
-		return err
+	if params.CoverageMode, err = coverageMode(o.coverage, userData, o.dataset); err != nil {
+		return nil, err
 	}
-	params.CoverageMode = mode
 
 	if o.explainPlan {
 		plan := relstore.CompilePlan(prob.Instance.Schema(), o.subsetINDs)
 		fmt.Fprintf(out, "bottom-clause plan for variant %s:\n%s\n", o.variant, plan.Explain())
 	}
-	prov.Meta(map[string]any{
+	obsRun.Prov().Meta(map[string]any{
 		"tool":    "castor",
 		"dataset": datasetLabel,
 		"variant": o.variant,
 		"learner": learner.Name(),
 		"target":  prob.Target.Name,
-		"seed":    o.seed,
+		"seed":    o.Seed,
 	})
 
 	fmt.Fprintf(out, "dataset=%s variant=%s learner=%s (%d pos, %d neg, %d tuples)\n",
@@ -328,12 +197,9 @@ func run(o options, out io.Writer) error {
 	start := time.Now()
 	def, err := learner.Learn(prob, params)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	elapsed := time.Since(start)
-	if err := prov.Close(); err != nil {
-		return fmt.Errorf("writing provenance: %w", err)
-	}
 	fmt.Fprintf(out, "\nlearned definition (%d clauses, %.2fs):\n", def.Len(), elapsed.Seconds())
 	if def.IsEmpty() {
 		fmt.Fprintln(out, "  (nothing learned)")
@@ -342,95 +208,24 @@ func run(o options, out io.Writer) error {
 	}
 	m := eval.Evaluate(prob.Instance, def, pos, neg)
 	fmt.Fprintf(out, "\ntraining-set quality: %s\n", m)
-
-	if traceSink != nil {
-		if err := traceSink.Close(); err != nil {
-			return err
-		}
-	}
-	if chromeSink != nil {
-		if err := chromeSink.Close(); err != nil {
-			return err
-		}
-	}
-	if o.watchdogSelftest && wd != nil {
-		// Deterministic trip for CI: the run is idle now, so the heartbeat
-		// counter stops and the watchdog must fire within ~1.25× the stall.
-		fmt.Fprintln(out, "watchdog-selftest: holding idle until the watchdog trips")
-		deadline := time.Now().Add(10*o.watchdogStall + 5*time.Second)
-		for wd.Trips() == 0 && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if wd.Trips() == 0 {
-			return fmt.Errorf("watchdog-selftest: watchdog did not trip within %s", 10*o.watchdogStall+5*time.Second)
-		}
-		fmt.Fprintf(out, "watchdog-selftest: tripped (trips=%d)\n", wd.Trips())
-	}
-	tl.Stop() // final tick; rings stay servable through -http-idle
-	if o.timelineFile != "" {
-		if err := tl.WriteJSONLFile(o.timelineFile); err != nil {
-			return fmt.Errorf("writing timeline: %w", err)
-		}
-	}
-	report := reg.Snapshot()
-	if o.reportFile != "" {
-		rr := &obs.RunReport{
-			Tool:    "castor",
-			When:    time.Now(),
-			Dataset: datasetLabel,
-			Variant: o.variant,
-			Learner: learner.Name(),
-			Target:  prob.Target.Name,
-			Params: map[string]any{
-				"coverage":     o.coverage,
-				"sample":       o.sample,
-				"beam":         o.beam,
-				"clauselength": o.clauseLength,
-				"par":          params.Parallelism,
-				"seed":         o.seed,
-				"subset_inds":  o.subsetINDs,
-			},
-			Env:            obs.CaptureEnv(o.seed),
-			ElapsedSeconds: elapsed.Seconds(),
-			Metrics:        report,
-			Timeline:       tl.Summary(),
-			Definition:     definitionStats(def, m),
-		}
-		if graph != nil {
-			rr.Attrib = obs.Attribute(graph.Graph())
-		}
-		if err := rr.WriteJSONFile(o.reportFile); err != nil {
-			return err
-		}
-	}
-	if o.verbose || o.traceFile != "" {
-		fmt.Fprintf(out, "\nrun metrics:\n")
-		report.WriteSummary(out)
-	}
-	if o.memProfile != "" {
-		f, err := os.Create(o.memProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC() // materialize up-to-date heap statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	if o.httpAddr != "" && o.httpIdle > 0 {
-		fmt.Fprintf(out, "idling %s for introspection (SIGQUIT or /debug/flightrecorder to dump)\n", o.httpIdle)
-		time.Sleep(o.httpIdle)
-	}
-	if o.flightFile != "" {
-		// End-of-run dump: the file always holds the final window (any
-		// earlier watchdog/sigquit marks are still in the ring, so nothing
-		// is lost by the rewrite).
-		if err := fr.DumpNow("run_end"); err != nil {
-			return fmt.Errorf("writing flight recorder dump: %w", err)
-		}
-	}
-	return nil
+	return &obs.RunReport{
+		Tool:    "castor",
+		Dataset: datasetLabel,
+		Variant: o.variant,
+		Learner: learner.Name(),
+		Target:  prob.Target.Name,
+		Params: map[string]any{
+			"coverage":     o.coverage,
+			"sample":       o.sample,
+			"beam":         o.beam,
+			"clauselength": o.clauseLength,
+			"par":          params.Parallelism,
+			"seed":         o.Seed,
+			"subset_inds":  o.subsetINDs,
+		},
+		ElapsedSeconds: elapsed.Seconds(),
+		Definition:     definitionStats(def, m),
+	}, nil
 }
 
 // definitionStats summarizes the learned definition for the run report.

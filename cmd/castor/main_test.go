@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/ilp"
+	"repro/internal/obs"
 )
 
 // TestRunWritesMetricsAndTrace drives the full CLI pipeline (uwcse,
@@ -21,9 +22,12 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
 		dataset: "uwcse", learner: "castor", coverage: "auto",
-		sample: 4, beam: 2, clauseLength: 10, par: 2, seed: 1,
-		reportFile: filepath.Join(dir, "run.json"),
-		traceFile:  filepath.Join(dir, "trace.jsonl"),
+		sample: 4, beam: 2, clauseLength: 10, par: 2,
+		Config: obs.Config{
+			Seed:       1,
+			ReportPath: filepath.Join(dir, "run.json"),
+			TracePath:  filepath.Join(dir, "trace.jsonl"),
+		},
 	}
 	var out bytes.Buffer
 	if err := run(o, &out); err != nil {
@@ -36,7 +40,7 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 		t.Error("run output missing the metrics summary")
 	}
 
-	rf, err := os.ReadFile(o.reportFile)
+	rf, err := os.ReadFile(o.ReportPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +66,7 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 		t.Error("metrics report has no coverage_batch span calls")
 	}
 
-	tf, err := os.Open(o.traceFile)
+	tf, err := os.Open(o.TracePath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,251 +8,151 @@
 //
 //	# observability: aggregate counters/timers across every learner run
 //	experiments -exp table10 -v -trace trace.jsonl -report run.json
-//	experiments -exp table10 -chrometrace trace.json
+//	experiments -exp table10 -trace trace.json   # Chrome trace (Perfetto)
 //	experiments -exp all -http :6060     # live /metrics /progress /debug/pprof/
 //	experiments -exp fig2 -cpuprofile cpu.pprof
 //
 // Experiments: table2, table9, table10, table11, table12, table13, fig2,
-// fig3, all. With -trace/-chrometrace/-report, one registry and
-// one trace stream span all selected experiments (see README
+// fig3, ablations, all. One observability session — one registry, flight
+// ring and trace stream — spans all selected experiments (see README
 // "Observability").
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
+// options mirrors the command-line flags; the observability and profiling
+// flags map one to one onto obs.Config.
+type options struct {
+	exp      string
+	scale    float64
+	folds    int
+	par      int
+	fig3Defs int
+
+	obs.Config
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id: table2|table9|table10|table11|table12|table13|fig2|fig3|ablations|all")
-	scale := flag.Float64("scale", 1.0, "dataset scale factor")
-	folds := flag.Int("folds", 0, "cross-validation folds (0 = per-table default)")
-	par := flag.Int("par", 4, "coverage-test parallelism")
-	seed := flag.Int64("seed", 1, "random seed")
-	fig3Defs := flag.Int("fig3-defs", 10, "random definitions per Figure 3 setting")
-	verbose := flag.Bool("v", false, "log trace events to stderr")
-	traceFile := flag.String("trace", "", "write a JSONL event trace to this file")
-	chromeFile := flag.String("chrometrace", "", "write a Chrome trace-event (Perfetto) span trace to this file")
-	reportFile := flag.String("report", "", "write the JSON run report (for cmd/obsreport) to this file")
-	httpAddr := flag.String("http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	flightFile := flag.String("flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
-	watchdogStall := flag.Duration("watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
-	timelineFile := flag.String("timeline", "", "write the metric timeline (JSONL) to this file at run end")
-	timelineTick := flag.Duration("timeline-tick", obs.DefaultTimelineTick, "sampling interval of the metric timeline and resource gauges (on with -timeline, -http, -report or -flightrecorder)")
+	var o options
+	flag.StringVar(&o.exp, "exp", "all", "experiment id: table2|table9|table10|table11|table12|table13|fig2|fig3|ablations|all")
+	flag.Float64Var(&o.scale, "scale", 1.0, "dataset scale factor")
+	flag.IntVar(&o.folds, "folds", 0, "cross-validation folds (0 = per-table default)")
+	flag.IntVar(&o.par, "par", 4, "coverage-test parallelism")
+	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
+	flag.IntVar(&o.fig3Defs, "fig3-defs", 10, "random definitions per Figure 3 setting")
+	flag.BoolVar(&o.Verbose, "v", false, "log trace events to stderr")
+	flag.StringVar(&o.TracePath, "trace", "", "write a span and event trace to this file: Chrome trace-event (Perfetto) JSON if the path ends in .json, JSONL otherwise")
+	flag.StringVar(&o.ReportPath, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
+	flag.StringVar(&o.HTTPAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
+	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile to this file")
+	flag.StringVar(&o.FlightPath, "flightrecorder", "", "write flight-recorder dumps (JSONL) to this file (default: stderr on dump)")
+	flag.DurationVar(&o.WatchdogStall, "watchdog-stall", 0, "trip the stall watchdog after this long without heartbeat progress (0 = off)")
+	flag.StringVar(&o.TimelinePath, "timeline", "", "write the metric timeline (JSONL) to this file at run end")
+	flag.DurationVar(&o.TimelineTick, "timeline-tick", obs.DefaultTimelineTick, "sampling interval of the metric timeline and resource gauges (on with -timeline, -http, -report or -flightrecorder)")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	var reg *obs.Registry
-	var fr *obs.FlightRecorder
-	var tracers []obs.Tracer
-	var spanSinks []obs.SpanSink
-	var traceSink *obs.JSONLSink
-	var chromeSink *obs.ChromeTraceSink
-	observing := *verbose || *traceFile != "" || *chromeFile != "" ||
-		*reportFile != "" || *httpAddr != "" || *flightFile != "" ||
-		*watchdogStall > 0 || *timelineFile != ""
-	if observing {
-		reg = obs.NewRegistry()
-		fr = obs.NewFlightRecorder(0)
-		fr.SetDumpPath(*flightFile)
-		sigq := make(chan os.Signal, 1)
-		signal.Notify(sigq, syscall.SIGQUIT)
-		defer signal.Stop(sigq)
-		go func() {
-			// Dump and keep running, like a JVM thread dump.
-			for range sigq {
-				fr.DumpNow("sigquit") //nolint:errcheck // best-effort operator dump
-			}
-		}()
-		if *verbose {
-			tracers = append(tracers, obs.NewTextSink(os.Stderr))
-		}
-		if *traceFile != "" {
-			s, err := obs.CreateJSONLFile(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			// Tracer for event lines, span sink for tagged span lines —
-			// the span graph is reconstructable offline from the trace.
-			traceSink = s
-			tracers = append(tracers, s)
-			spanSinks = append(spanSinks, s)
-		}
-		if *chromeFile != "" {
-			s, err := obs.CreateChromeTraceFile(*chromeFile)
-			if err != nil {
-				fatal(err)
-			}
-			chromeSink = s
-			spanSinks = append(spanSinks, s)
-			tracers = append(tracers, s)
-		}
-	}
-	var prog *obs.Progress
-	if *httpAddr != "" {
-		prog = obs.NewProgress(reg)
-		spanSinks = append(spanSinks, prog)
-	}
-	var graph *obs.GraphSink
-	if *reportFile != "" || *httpAddr != "" {
-		graph = obs.NewGraphSink(0)
-		spanSinks = append(spanSinks, graph)
-	}
-
-	start := time.Now()
-	obsRun := obs.NewRun(obs.MultiTracer(tracers...), reg).
-		WithSpans(obs.MultiSpanSink(spanSinks...)).
-		WithFlightRecorder(fr)
-	var tl *obs.Timeline
-	if *timelineFile != "" || *httpAddr != "" || *reportFile != "" || *flightFile != "" {
-		// The one sampling tick: resource gauges, counter-delta flight
-		// records and the timeline rings, for every output that shows them.
-		tl = obs.StartTimeline(obsRun, *timelineTick)
-	}
-	if *httpAddr != "" {
-		srv, err := obs.StartServer(*httpAddr, reg, prog, fr, tl, graph)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("introspection server on http://%s/ (/metrics /progress /timeline /critpath /debug/flightrecorder /debug/pprof/)\n", srv.Addr())
-	}
-	if *watchdogStall > 0 {
-		wd := obs.StartWatchdog(obsRun, *watchdogStall, func(si obs.StallInfo) {
-			fmt.Fprintf(os.Stderr, "watchdog: no heartbeat progress for %s (trip %d); live spans:\n",
-				si.Stalled.Round(time.Millisecond), si.Trips)
-			for _, s := range si.Spans {
-				fmt.Fprintf(os.Stderr, "  %s (open %.2fs, id %d)\n", s.Name, s.ElapsedSeconds, s.ID)
-			}
-			fr.DumpNow("watchdog") //nolint:errcheck // best-effort stall dump
-		})
-		defer wd.Stop()
-	}
-	cfg := experiments.Config{
-		Scale:       *scale,
-		Folds:       *folds,
-		Parallelism: *par,
-		Seed:        *seed,
-		Out:         os.Stdout,
-		Obs:         obsRun,
-	}
-
-	runners := map[string]func() error{
-		"table2":    func() error { _, err := experiments.Table2(cfg); return err },
-		"table9":    func() error { _, err := experiments.Table9(cfg); return err },
-		"table10":   func() error { _, err := experiments.Table10(cfg); return err },
-		"table11":   func() error { _, err := experiments.Table11(cfg); return err },
-		"table12":   func() error { _, err := experiments.Table12(cfg); return err },
-		"table13":   func() error { _, err := experiments.Table13(cfg); return err },
-		"fig2":      func() error { _, err := experiments.Figure2(cfg, nil); return err },
-		"fig3":      func() error { _, err := experiments.Figure3(cfg, *fig3Defs, nil); return err },
-		"ablations": func() error { _, err := experiments.Ablations(cfg); return err },
-	}
-	order := []string{"table2", "table9", "table10", "table11", "table12", "table13", "fig2", "fig3", "ablations"}
-
-	var ids []string
-	if *exp == "all" {
-		ids = order
-	} else {
-		ids = strings.Split(*exp, ",")
-	}
-	for _, id := range ids {
-		run, ok := runners[strings.TrimSpace(id)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; have %v\n", id, order)
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		var unknown unknownExperiment
+		if errors.As(err, &unknown) {
 			os.Exit(2)
 		}
-		if err := run(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
-			os.Exit(1)
-		}
-	}
-
-	if traceSink != nil {
-		if err := traceSink.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if chromeSink != nil {
-		if err := chromeSink.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if reg != nil {
-		tl.Stop() // final tick before the snapshot
-		if *timelineFile != "" {
-			if err := tl.WriteJSONLFile(*timelineFile); err != nil {
-				fatal(err)
-			}
-		}
-		report := reg.Snapshot()
-		if *reportFile != "" {
-			rr := &obs.RunReport{
-				Tool:    "experiments",
-				When:    time.Now(),
-				Dataset: *exp,
-				Params: map[string]any{
-					"scale": *scale,
-					"folds": *folds,
-					"par":   *par,
-					"seed":  *seed,
-				},
-				ElapsedSeconds: time.Since(start).Seconds(),
-				Metrics:        report,
-				Timeline:       tl.Summary(),
-			}
-			if graph != nil {
-				rr.Attrib = obs.Attribute(graph.Graph())
-			}
-			if err := rr.WriteJSONFile(*reportFile); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Println("\nrun metrics (all experiments):")
-		report.WriteSummary(os.Stdout)
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC() // materialize up-to-date heap statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-	}
-	if *flightFile != "" {
-		if err := fr.DumpNow("run_end"); err != nil {
-			fatal(err)
-		}
+		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+// order lists the experiments -exp all runs.
+var order = []string{"table2", "table9", "table10", "table11", "table12", "table13", "fig2", "fig3", "ablations"}
+
+// unknownExperiment is the error for an -exp id that names no experiment.
+type unknownExperiment string
+
+func (u unknownExperiment) Error() string {
+	return fmt.Sprintf("unknown experiment %q; have %v", string(u), order)
+}
+
+// run runs the selected experiments under one observability session.
+func run(o options, out io.Writer) error {
+	sess, err := obs.Open(o.Config, out)
+	if err != nil {
+		return err
+	}
+	defer sess.DumpOnPanic()
+	start := time.Now()
+	err = runExperiments(o, sess.Run(), out)
+	var rr *obs.RunReport
+	if err == nil {
+		rr = &obs.RunReport{
+			Tool:    "experiments",
+			Dataset: o.exp,
+			Params: map[string]any{
+				"scale": o.scale,
+				"folds": o.folds,
+				"par":   o.par,
+				"seed":  o.Seed,
+			},
+			ElapsedSeconds: time.Since(start).Seconds(),
+		}
+	}
+	if cerr := sess.Close(rr); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// runExperiments runs each experiment named by -exp in turn.
+func runExperiments(o options, obsRun *obs.Run, out io.Writer) error {
+	cfg := experiments.Config{
+		Scale:       o.scale,
+		Folds:       o.folds,
+		Parallelism: o.par,
+		Seed:        o.Seed,
+		Out:         out,
+		Obs:         obsRun,
+	}
+	ids := order
+	if o.exp != "all" {
+		ids = strings.Split(o.exp, ",")
+	}
+	for _, id := range ids {
+		var err error
+		switch id = strings.TrimSpace(id); id {
+		case "table2":
+			_, err = experiments.Table2(cfg)
+		case "table9":
+			_, err = experiments.Table9(cfg)
+		case "table10":
+			_, err = experiments.Table10(cfg)
+		case "table11":
+			_, err = experiments.Table11(cfg)
+		case "table12":
+			_, err = experiments.Table12(cfg)
+		case "table13":
+			_, err = experiments.Table13(cfg)
+		case "fig2":
+			_, err = experiments.Figure2(cfg, nil)
+		case "fig3":
+			_, err = experiments.Figure3(cfg, o.fig3Defs, nil)
+		case "ablations":
+			_, err = experiments.Ablations(cfg)
+		default:
+			return unknownExperiment(id)
+		}
+		if err != nil {
+			return fmt.Errorf("experiment %s failed: %w", id, err)
+		}
+	}
+	return nil
 }

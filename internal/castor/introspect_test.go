@@ -26,7 +26,7 @@ func TestIntrospectionServerDuringLearn(t *testing.T) {
 	srv := httptest.NewServer(obs.NewHandler(reg, prog, fr, nil, nil))
 	defer srv.Close()
 
-	run := obs.NewRun(nil, reg).WithSpans(prog).WithFlightRecorder(fr)
+	run := obs.NewRun(nil, reg).WithSpans(obs.MultiSpanSink(fr, prog))
 	w := testfix.NewWorld(8)
 	prob := w.ProblemOriginal()
 	params := ilp.Defaults()
@@ -143,12 +143,12 @@ func TestConcurrentLearnsDoNotCrossContaminate(t *testing.T) {
 		w := testfix.NewWorld(worldSize)
 		prob := w.ProblemOriginal()
 		params := ilp.Defaults()
-		params.Obs = obs.NewRun(nil, s.reg).WithSpans(obs.MultiSpanSink(s.prog, s.graph)).WithFlightRecorder(s.fr)
+		params.Obs = obs.NewRun(nil, s.reg).WithSpans(obs.MultiSpanSink(s.fr, s.prog, s.graph))
 		// A tight stall interval so the watchdog goroutine actively ticks
 		// (and may trip) during the learn; trips must not perturb learning.
-		wd := obs.StartWatchdog(params.Obs, 25*time.Millisecond, nil)
+		wd := obs.StartWatchdog(params.Obs, s.fr, 25*time.Millisecond, nil)
 		defer wd.Stop()
-		tl := obs.StartTimeline(params.Obs, 5*time.Millisecond)
+		tl := obs.StartTimeline(s.reg, s.fr, 5*time.Millisecond)
 		defer tl.Stop()
 		def, err := New().Learn(prob, params)
 		if err != nil {

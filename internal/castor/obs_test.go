@@ -99,9 +99,9 @@ func TestRuntimeHealthStackDoesNotChangeLearning(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	fr := obs.NewFlightRecorder(4096)
-	run := obs.NewRun(nil, reg).WithFlightRecorder(fr)
-	wd := obs.StartWatchdog(run, 20*time.Millisecond, nil)
-	tl := obs.StartTimeline(run, 5*time.Millisecond)
+	run := obs.NewRun(nil, reg).WithSpans(fr)
+	wd := obs.StartWatchdog(run, fr, 20*time.Millisecond, nil)
+	tl := obs.StartTimeline(reg, fr, 5*time.Millisecond)
 	observed := learn(run)
 	tl.Stop()
 	wd.Stop()
@@ -161,7 +161,7 @@ func TestTelemetryStackDoesNotChangeLearning(t *testing.T) {
 
 			reg := obs.NewRegistry()
 			run := obs.NewRun(nil, reg)
-			tl := obs.StartTimeline(run, time.Millisecond)
+			tl := obs.StartTimeline(reg, nil, time.Millisecond)
 			observed := learn(run)
 			tl.Stop()
 

@@ -25,11 +25,9 @@ func TestNilRunFastPathAllocs(t *testing.T) {
 		"Spanning":      func() { _ = r.Spanning() },
 		"Registry":      func() { _ = r.Registry() },
 		"Heartbeat":     func() { r.Heartbeat() },
-		"Sample":        func() { r.Sample() },
-		"Flight":        func() { _ = r.Flight() },
 		"FlightRecord":  func() { fr.Record(FKMark, "m", 0, 0) },
-		"StartWatchdog": func() { StartWatchdog(r, time.Second, nil).Stop() },
-		"StartTimeline": func() { StartTimeline(r, time.Second).Stop() },
+		"StartWatchdog": func() { StartWatchdog(r, fr, time.Second, nil).Stop() },
+		"StartTimeline": func() { StartTimeline(nil, fr, time.Second).Stop() },
 		"TimelineSummary": func() {
 			var tl *Timeline
 			_ = tl.Summary()

@@ -11,8 +11,8 @@ import (
 
 // ChromeTraceSink writes spans (and, when also registered as a Tracer,
 // instant events) in the Chrome trace-event JSON format, loadable by
-// Perfetto (ui.perfetto.dev) and chrome://tracing — the -chrometrace
-// flag. Spans become complete ("ph":"X") slices with their fields as
+// Perfetto (ui.perfetto.dev) and chrome://tracing — what -trace writes
+// for a .json path. Spans become complete ("ph":"X") slices with their fields as
 // args; trace events become instants ("ph":"i"). Spans on the run's
 // owning goroutine render on tid 1, where slices nest by time exactly as
 // the span tree nests; pool-worker shard spans render on tid 2+worker, so

@@ -18,6 +18,9 @@ import (
 // wrong — a SIGQUIT, a watchdog stall, a panic inside Learn, or an
 // operator hitting /debug/flightrecorder. A killed 10-minute HIV learn
 // then leaves its last seconds of behaviour behind instead of nothing.
+// Span records arrive through the recorder's SpanSink methods, like any
+// other sink on the run; the timeline tick and the watchdog write their
+// own records into the ring the Session hands them.
 //
 // Every slot field is an atomic and each slot carries a sequence number
 // (odd while a write is in flight), so recording takes no locks and a
@@ -165,6 +168,17 @@ func (f *FlightRecorder) record(tns int64, kind FlightKind, nameID uint32, val, 
 	s.seq.Add(1) // even: stable
 }
 
+// SpanStart implements SpanSink: a span_start record stamped with the
+// span's own start time.
+func (f *FlightRecorder) SpanStart(s *Span) {
+	f.record(s.Start.UnixNano(), FKSpanStart, f.nameID(s.Name), int64(s.ID), int64(s.ParentID))
+}
+
+// SpanEnd implements SpanSink: a span_end record carrying the duration.
+func (f *FlightRecorder) SpanEnd(s *Span, d time.Duration) {
+	f.Record(FKSpanEnd, s.Name, int64(d), int64(s.ID))
+}
+
 // FlightRecord is the decoded JSONL form of one record.
 type FlightRecord struct {
 	// T is the record's wall-clock time in unix nanoseconds.
@@ -263,13 +277,5 @@ func (f *FlightRecorder) DumpNow(reason string) error {
 		fmt.Fprintf(os.Stderr, "flight recorder dump (%s):\n", reason)
 		return f.WriteJSONL(os.Stderr)
 	}
-	file, err := os.Create(f.dumpPath)
-	if err != nil {
-		return err
-	}
-	if err := f.WriteJSONL(file); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
+	return writeFile(f.dumpPath, f.WriteJSONL)
 }

@@ -80,20 +80,6 @@ func (h *Histogram) observeN(d time.Duration, n int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the accumulated observed duration, without a full
-// Snapshot.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
-
-// reset zeroes the histogram (not atomic with respect to concurrent
-// observers).
-func (h *Histogram) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumNS.Store(0)
-}
-
 // Snapshot captures the histogram's current state. Concurrent writers may
 // land between the bucket reads; the stat is internally consistent enough
 // for reporting (count is recomputed from the bucket sum).

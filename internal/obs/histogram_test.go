@@ -22,7 +22,7 @@ func TestHistBucketMapping(t *testing.T) {
 		{time.Millisecond, 10},        // 1000µs ≤ 1024µs = 2^10
 		{1024 * time.Microsecond, 10}, // exact bound is inclusive
 		{1025 * time.Microsecond, 11},
-		{time.Second, 20}, // 1e6µs ≤ 2^20µs
+		{time.Second, 20},               // 1e6µs ≤ 2^20µs
 		{3 * time.Hour, numHistBuckets}, // beyond the last finite bound
 	}
 	for _, c := range cases {
@@ -123,15 +123,6 @@ func TestHistogramEmptySnapshot(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != 0 || s.P50 != 0 || s.P99 != 0 || s.SumSeconds != 0 {
 		t.Errorf("empty snapshot = %+v, want zeros", s)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(time.Millisecond)
-	h.reset()
-	if h.Count() != 0 || h.Snapshot().SumSeconds != 0 {
-		t.Error("reset did not zero the histogram")
 	}
 }
 

@@ -17,7 +17,7 @@ func TestMetricsEndpointRendersEveryCounter(t *testing.T) {
 	run := NewRun(nil, reg)
 	run.StartSpan("learn").End()
 	reg.Histogram("subsumption_probe").Observe(3 * time.Millisecond)
-	run.Sample()
+	sampleResources(reg, nil)
 
 	srv := httptest.NewServer(NewHandler(reg, nil, nil, nil, nil))
 	defer srv.Close()
@@ -216,7 +216,7 @@ func TestHandlerNilBackends(t *testing.T) {
 
 func TestFlightRecorderEndpoint(t *testing.T) {
 	fr := NewFlightRecorder(64)
-	run := (*Run)(nil).WithFlightRecorder(fr)
+	run := (*Run)(nil).WithSpans(fr)
 	run.StartSpan("learn").End()
 
 	srv := httptest.NewServer(NewHandler(nil, nil, fr, nil, nil))
@@ -277,7 +277,7 @@ func TestStartServer(t *testing.T) {
 func TestTimelineEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, nil, time.Hour)
 	run.Add(CCoverageTests, 4)
 	reg.SetGauge(GPoolBusyRatio, 0.8)
 	tl.tick()

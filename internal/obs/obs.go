@@ -22,7 +22,8 @@
 // with an optional *Registry (counters, span aggregates, histograms). A
 // nil *Run is the nop default: every method is nil-safe and returns
 // immediately, so uninstrumented runs pay only a pointer test on the hot
-// paths. Learners receive the run through ilp.Params.Obs.
+// paths. Learners receive the run through ilp.Params.Obs; the binaries
+// get theirs from a Session (session.go), which owns the whole stack.
 package obs
 
 import (
@@ -231,7 +232,6 @@ type Run struct {
 	reg    *Registry
 	spans  SpanSink
 	prov   *Prov
-	flight *FlightRecorder
 
 	// beat is the stall-watchdog heartbeat: span begins/ends and the
 	// learner hot paths bump it, StartWatchdog watches it (see watchdog.go).
@@ -296,27 +296,4 @@ func (r *Run) Heartbeat() {
 		return
 	}
 	r.beat.Add(1)
-}
-
-// WithFlightRecorder returns a run that additionally records span events
-// into the flight recorder (the timeline and watchdogs attached to the
-// run find it there too). The receiver is not modified; a nil recorder
-// returns the receiver unchanged, and a nil receiver with a live
-// recorder returns a flight-only run, so flag wiring stays unconditional.
-func (r *Run) WithFlightRecorder(f *FlightRecorder) *Run {
-	if f == nil {
-		return r
-	}
-	if r == nil {
-		return &Run{flight: f}
-	}
-	return &Run{tracer: r.tracer, reg: r.reg, spans: r.spans, prov: r.prov, flight: f}
-}
-
-// Flight returns the run's flight recorder, or nil.
-func (r *Run) Flight() *FlightRecorder {
-	if r == nil {
-		return nil
-	}
-	return r.flight
 }

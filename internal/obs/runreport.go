@@ -111,16 +111,20 @@ func (r *RunReport) WriteJSON(w io.Writer) error {
 }
 
 // WriteJSONFile writes the report to path, creating or truncating it.
-func (r *RunReport) WriteJSONFile(path string) error {
+func (r *RunReport) WriteJSONFile(path string) error { return writeFile(path, r.WriteJSON) }
+
+// writeFile creates (or truncates) path and fills it with write. The file
+// is closed either way; the first error wins.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
 // LoadRunReport reads a report written by WriteJSON.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -43,21 +44,6 @@ func TestRuntimeBridgeDeltaFoldNoDoubleCount(t *testing.T) {
 	}
 }
 
-func TestRuntimeBridgeSurvivesReset(t *testing.T) {
-	reg := NewRegistry()
-	reg.sampleRuntime()
-	reg.Reset()
-	if n := reg.Histogram(HGCPause).Count(); n != 0 {
-		t.Fatalf("gc_pause count = %d after Reset, want 0", n)
-	}
-	runtime.GC()
-	reg.sampleRuntime()
-	// The re-built bridge re-seeds from the full cumulative history.
-	if n := reg.Histogram(HGCPause).Count(); n <= 0 {
-		t.Errorf("gc_pause count = %d after Reset+sample, want > 0", n)
-	}
-}
-
 func TestFoldHistDelta(t *testing.T) {
 	var h Histogram
 	rh := &metrics.Float64Histogram{
@@ -75,21 +61,20 @@ func TestFoldHistDelta(t *testing.T) {
 	}
 	// One new observation in bucket 1, upper bound 1ms.
 	rh.Counts[1]++
-	sumBefore := h.Sum()
+	sumBefore := h.Snapshot().SumSeconds
 	foldHistDelta(&h, rh, last)
 	if h.Count() != 6 {
 		t.Fatalf("count = %d, want 6", h.Count())
 	}
-	if d := h.Sum() - sumBefore; d != time.Millisecond {
-		t.Errorf("sum grew by %v, want 1ms (bucket upper bound)", d)
+	if d := h.Snapshot().SumSeconds - sumBefore; math.Abs(d-time.Millisecond.Seconds()) > 1e-12 {
+		t.Errorf("sum grew by %gs, want 1ms (bucket upper bound)", d)
 	}
 }
 
 func TestSampleIncludesRuntimeBridge(t *testing.T) {
 	reg := NewRegistry()
-	run := NewRun(nil, reg)
-	run.Sample()
+	sampleResources(reg, nil)
 	if reg.Gauge(GGomaxprocs) <= 0 {
-		t.Errorf("Run.Sample did not populate gomaxprocs gauge")
+		t.Errorf("sampleResources did not populate gomaxprocs gauge")
 	}
 }

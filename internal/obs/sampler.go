@@ -49,21 +49,15 @@ const (
 	GSamples        = "resource_samples"
 )
 
-// Sample captures one resource measurement into the run's registry
-// gauges and flight recorder: RSS (current and peak), heap alloc/sys,
-// GC cycle and pause totals, and the live goroutine count. It is the
-// first step of every timeline tick, exported so callers can sample
-// without a background goroutine. Nil-safe: without a registry it
-// returns immediately.
-func (r *Run) Sample() {
-	if r == nil || r.reg == nil {
-		return
-	}
+// sampleResources captures one resource measurement into the registry
+// gauges and the flight ring (fr may be nil): RSS (current and peak), heap
+// alloc/sys, GC cycle and pause totals, and the live goroutine count. It
+// is the first step of every timeline tick.
+func sampleResources(reg *Registry, fr *FlightRecorder) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rss := ReadRSS()
 	g := int64(runtime.NumGoroutine())
-	reg := r.reg
 	reg.SetGauge(GRSSBytes, float64(rss))
 	reg.MaxGauge(GRSSPeakBytes, float64(rss))
 	reg.SetGauge(GHeapAllocBytes, float64(ms.HeapAlloc))
@@ -73,9 +67,7 @@ func (r *Run) Sample() {
 	reg.SetGauge(GGCPauseSeconds, time.Duration(ms.PauseTotalNs).Seconds())
 	reg.AddGauge(GSamples, 1)
 	reg.sampleRuntime()
-	if f := r.flight; f != nil {
-		f.Record(FKSample, GRSSBytes, rss, 0)
-		f.Record(FKSample, GHeapAllocBytes, int64(ms.HeapAlloc), 0)
-		f.Record(FKSample, GGoroutines, g, 0)
-	}
+	fr.Record(FKSample, GRSSBytes, rss, 0)
+	fr.Record(FKSample, GHeapAllocBytes, int64(ms.HeapAlloc), 0)
+	fr.Record(FKSample, GGoroutines, g, 0)
 }

@@ -13,8 +13,7 @@ func TestReadRSSPositive(t *testing.T) {
 
 func TestRunSampleSetsGauges(t *testing.T) {
 	reg := NewRegistry()
-	run := NewRun(nil, reg)
-	run.Sample()
+	sampleResources(reg, nil)
 	for _, name := range []string{GRSSBytes, GRSSPeakBytes, GHeapAllocBytes,
 		GHeapSysBytes, GGoroutines, GGCCycles} {
 		if reg.Gauge(name) < 0 {
@@ -28,7 +27,7 @@ func TestRunSampleSetsGauges(t *testing.T) {
 	if reg.Gauge(GSamples) != 1 {
 		t.Errorf("resource_samples = %g, want 1", reg.Gauge(GSamples))
 	}
-	run.Sample()
+	sampleResources(reg, nil)
 	if reg.Gauge(GSamples) != 2 {
 		t.Errorf("resource_samples after second pass = %g, want 2", reg.Gauge(GSamples))
 	}
@@ -56,18 +55,17 @@ func TestSampleDoesNotBeatHeartbeat(t *testing.T) {
 	// stalled even while the timeline keeps sampling.
 	run := NewRun(nil, NewRegistry())
 	before := run.beat.Load()
-	run.Sample()
+	sampleResources(run.Registry(), NewFlightRecorder(8))
 	if run.beat.Load() != before {
-		t.Error("Sample() moved the heartbeat counter")
+		t.Error("sampleResources moved the heartbeat counter")
 	}
 }
 
 func TestTimelineImmediateAndFinalSamples(t *testing.T) {
 	reg := NewRegistry()
-	run := NewRun(nil, reg)
 	// A huge interval: only the immediate start tick and the final Stop
 	// tick ever run, so even sub-interval runs report gauges.
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, nil, time.Hour)
 	if reg.Gauge(GSamples) < 1 {
 		t.Error("no immediate sample at StartTimeline")
 	}
@@ -80,9 +78,9 @@ func TestTimelineImmediateAndFinalSamples(t *testing.T) {
 func TestTimelineRecordsCounterDeltas(t *testing.T) {
 	reg := NewRegistry()
 	fr := NewFlightRecorder(128)
-	run := NewRun(nil, reg).WithFlightRecorder(fr)
+	run := NewRun(nil, reg)
 	run.Add(CCoverageTests, 40)
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, fr, time.Hour)
 	run.Add(CCoverageTests, 17)
 	tl.Stop() // the final tick sees the movement
 
@@ -108,8 +106,7 @@ func TestTimelineRecordsCounterDeltas(t *testing.T) {
 
 func TestTimelineFlightSampleRecords(t *testing.T) {
 	fr := NewFlightRecorder(64)
-	run := NewRun(nil, NewRegistry()).WithFlightRecorder(fr)
-	StartTimeline(run, time.Hour).Stop()
+	StartTimeline(NewRegistry(), fr, time.Hour).Stop()
 	seen := map[string]bool{}
 	for _, r := range fr.Snapshot() {
 		if r.Kind == "sample" {

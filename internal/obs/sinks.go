@@ -157,14 +157,6 @@ func (s *JSONLSink) Close() error {
 // human-readable -v output.
 type SlogSink struct{ l *slog.Logger }
 
-// NewSlogSink wraps a logger; nil uses slog.Default().
-func NewSlogSink(l *slog.Logger) *SlogSink {
-	if l == nil {
-		l = slog.Default()
-	}
-	return &SlogSink{l: l}
-}
-
 // NewTextSink returns a slog sink writing human-readable lines (without
 // the redundant time/level prefix noise suppressed: the event time is the
 // log time).

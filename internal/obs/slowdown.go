@@ -8,7 +8,7 @@ import (
 
 // SlowdownSink is a test-only SpanSink that injects a fixed sleep at the
 // start of every span of the configured kinds. CI uses it (via the
-// SIRL_TEST_SLOWDOWN env hook in cmd/castor) to verify the attribution
+// SIRL_TEST_SLOWDOWN env hook of the Session) to verify the attribution
 // pipeline end-to-end: slow one phase synthetically, diff the two run
 // reports with obsreport -attrib, and assert the injected phase ranks
 // first. Sleeping in SpanStart — after the span's Start stamp is taken —

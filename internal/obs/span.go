@@ -12,8 +12,8 @@ import (
 // tree — one span per Learn call, per covering-loop iteration, per bottom
 // clause, per beam round, per coverage batch, per reduction. Exporters
 // (the Chrome-trace sink, the live progress tracker) consume spans through
-// SpanSink; the Registry aggregates wall time and call counts per span
-// name for the run report.
+// SpanSink — the flight recorder is one such sink; the Registry aggregates
+// wall time and call counts per span name for the run report.
 //
 // Parentage is implicit: StartSpan parents the new span under the
 // innermost span still open on the run. Learners start and end their
@@ -73,7 +73,7 @@ type SpanSink interface {
 // Spanning reports whether StartSpan would record anything. Hot loops can
 // guard expensive field construction with it, like Tracing for Emit.
 func (r *Run) Spanning() bool {
-	return r != nil && (r.reg != nil || r.spans != nil || r.flight != nil)
+	return r != nil && (r.reg != nil || r.spans != nil)
 }
 
 // WithSpans returns a run that additionally records spans into sink. The
@@ -87,32 +87,14 @@ func (r *Run) WithSpans(sink SpanSink) *Run {
 	if r == nil {
 		return &Run{spans: sink}
 	}
-	return &Run{tracer: r.tracer, reg: r.reg, spans: sink, prov: r.prov, flight: r.flight}
+	return &Run{tracer: r.tracer, reg: r.reg, spans: sink, prov: r.prov}
 }
 
 // StartSpan opens a span named name under the innermost open span of the
 // run. It returns nil — and does nothing — when the run observes nothing,
 // so uninstrumented paths pay one pointer test.
 func (r *Run) StartSpan(name string, fields ...Field) *Span {
-	if r == nil || (r.reg == nil && r.spans == nil && r.flight == nil) {
-		return nil
-	}
-	s := &Span{run: r, ID: spanIDs.Add(1), Name: name, Start: time.Now(), Fields: fields, Worker: -1}
-	r.spanMu.Lock()
-	if r.cur != nil {
-		s.parent = r.cur
-		s.ParentID = r.cur.ID
-	}
-	r.cur = s
-	r.spanMu.Unlock()
-	r.beat.Add(1) // span progress doubles as a watchdog heartbeat
-	if f := r.flight; f != nil {
-		f.record(s.Start.UnixNano(), FKSpanStart, f.nameID(name), int64(s.ID), int64(s.ParentID))
-	}
-	if r.spans != nil {
-		r.spans.SpanStart(s)
-	}
-	return s
+	return r.start(nil, name, 0, -1, fields)
 }
 
 // CurrentSpan returns the innermost span still open on the run's owning
@@ -128,25 +110,34 @@ func (r *Run) CurrentSpan() *Span {
 	return s
 }
 
-// StartWorkerSpan opens a span with an explicit parent, worker index, and
-// pool-round ID, without touching the run's implicit span stack — worker
-// goroutines run concurrently, so pushing them onto the owning goroutine's
-// stack would scramble parentage for everyone. End works as usual (the
-// stack-revert in End is guarded, so a span that never entered the stack
-// never pops it). Returns nil on an unobserved run.
+// StartWorkerSpan opens a span with an explicit parent, worker index (≥ 0),
+// and pool-round ID, without touching the run's implicit span stack —
+// worker goroutines run concurrently, so pushing them onto the owning
+// goroutine's stack would scramble parentage for everyone. End works as
+// usual (the stack-revert in End is guarded, so a span that never entered
+// the stack never pops it). Returns nil on an unobserved run.
 func (r *Run) StartWorkerSpan(parent *Span, name string, round uint64, worker int, fields ...Field) *Span {
-	if r == nil || (r.reg == nil && r.spans == nil && r.flight == nil) {
+	return r.start(parent, name, round, worker, fields)
+}
+
+// start is the one opening body of StartSpan and StartWorkerSpan. A
+// negative worker marks an owning-goroutine span: it parents under, and
+// becomes, the innermost open span of the run.
+func (r *Run) start(parent *Span, name string, round uint64, worker int, fields []Field) *Span {
+	if r == nil || (r.reg == nil && r.spans == nil) {
 		return nil
 	}
 	s := &Span{run: r, ID: spanIDs.Add(1), Name: name, Start: time.Now(), Fields: fields, Worker: worker, Round: round}
+	if worker < 0 {
+		r.spanMu.Lock()
+		parent, r.cur = r.cur, s
+		r.spanMu.Unlock()
+	}
 	if parent != nil {
 		s.parent = parent
 		s.ParentID = parent.ID
 	}
-	r.beat.Add(1)
-	if f := r.flight; f != nil {
-		f.record(s.Start.UnixNano(), FKSpanStart, f.nameID(name), int64(s.ID), int64(s.ParentID))
-	}
+	r.beat.Add(1) // span progress doubles as a watchdog heartbeat
 	if r.spans != nil {
 		r.spans.SpanStart(s)
 	}
@@ -182,9 +173,6 @@ func (s *Span) End() {
 		r.spanMu.Unlock()
 	}
 	r.beat.Add(1) // span progress doubles as a watchdog heartbeat
-	if f := r.flight; f != nil {
-		f.Record(FKSpanEnd, s.Name, int64(d), int64(s.ID))
-	}
 	if r.reg != nil {
 		r.reg.addSpan(s.Name, d)
 	}

@@ -4,24 +4,23 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
 )
 
 // The timeline is the run's one sampling ticker. Each tick takes a
-// resource sample (see Run.Sample) and turns the registry's point-in-time
-// snapshot into bounded history: counter *deltas* (rate, not total),
-// every gauge, and the p50/p99 of every named histogram go into
-// per-series fixed-size rings, and every counter that moved is also
+// resource sample (see sampleResources) and turns the registry's
+// point-in-time snapshot into bounded history: counter *deltas* (rate,
+// not total), every gauge, and the p50/p99 of every named histogram go
+// into per-series fixed-size rings, and every counter that moved is also
 // written to the flight recorder as a delta record, so a dump shows which
-// counters were moving (and how fast) in its final window. Memory is hard-bounded — rings never grow and the
-// series table is capped — so the timeline can stay on for a whole
-// multi-hour learn and still answer "when did the workers go idle" at
-// the end, live over GET /timeline or post-hoc from the -timeline JSONL
-// dump. A nil *Timeline is a valid nop, preserving the zero-cost
-// unobserved path.
+// counters were moving (and how fast) in its final window. Memory is
+// hard-bounded — rings never grow and the series table is capped — so the
+// timeline can stay on for a whole multi-hour learn and still answer
+// "when did the workers go idle" at the end, live over GET /timeline or
+// post-hoc from the -timeline JSONL dump. A nil *Timeline is a valid nop,
+// preserving the zero-cost unobserved path.
 
 // Timeline defaults: ring length per series, series-table cap, tick.
 const (
@@ -88,7 +87,8 @@ func (s *tlSeries) points(sinceMs int64) []TimelinePoint {
 // rings. Start with StartTimeline; Stop takes a final sample and shuts
 // the ticker down. All methods are nil-safe.
 type Timeline struct {
-	run      *Run
+	reg      *Registry
+	fr       *FlightRecorder
 	interval time.Duration
 	ringCap  int
 	maxSer   int
@@ -104,21 +104,22 @@ type Timeline struct {
 	done chan struct{}
 }
 
-// StartTimeline begins sampling run's registry every interval (≤ 0 picks
-// DefaultTimelineTick) and returns the running timeline. It returns nil —
-// and samples nothing — for a run without a registry, keeping the
-// unobserved path free. An immediate first tick runs before the goroutine
-// starts, and Stop adds a final one, so even the shortest observed run
-// yields two samples of every live series.
-func StartTimeline(run *Run, interval time.Duration) *Timeline {
-	if run == nil || run.Registry() == nil {
+// StartTimeline begins sampling reg every interval (≤ 0 picks
+// DefaultTimelineTick) and returns the running timeline; resource samples
+// and counter deltas also go into fr when it is non-nil. It returns nil —
+// and samples nothing — for a nil registry, keeping the unobserved path
+// free. An immediate first tick runs before the goroutine starts, and Stop
+// adds a final one, so even the shortest observed run yields two samples
+// of every live series.
+func StartTimeline(reg *Registry, fr *FlightRecorder, interval time.Duration) *Timeline {
+	if reg == nil {
 		return nil
 	}
 	if interval <= 0 {
 		interval = DefaultTimelineTick
 	}
 	t := &Timeline{
-		run: run, interval: interval,
+		reg: reg, fr: fr, interval: interval,
 		ringCap: DefaultTimelineCap, maxSer: DefaultTimelineSeries,
 		series: make(map[string]*tlSeries),
 		start:  time.Now(),
@@ -158,9 +159,8 @@ func (t *Timeline) loop() {
 // registry snapshot decomposed into series points and counter-delta
 // flight records.
 func (t *Timeline) tick() {
-	t.run.Sample() // refresh gauges and the runtime/metrics histograms first
-	rep := t.run.Registry().Snapshot()
-	f := t.run.Flight()
+	sampleResources(t.reg, t.fr) // refresh gauges and the runtime/metrics histograms first
+	rep := t.reg.Snapshot()
 	now := time.Now().UnixMilli()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -173,8 +173,8 @@ func (t *Timeline) tick() {
 		d := v - last
 		t.lastCounters[c] = v
 		t.record(c.String(), TimelinePoint{UnixMs: now, V: float64(d)})
-		if f != nil && d != 0 {
-			f.Record(FKCounter, c.String(), d, v)
+		if t.fr != nil && d != 0 {
+			t.fr.Record(FKCounter, c.String(), d, v)
 		}
 	}
 	for name, v := range rep.Gauges {
@@ -281,19 +281,6 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteJSONLFile writes the JSONL dump to path (the -timeline flag).
-func (t *Timeline) WriteJSONLFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // TimelineSeriesStat is one series' whole-run summary in a run report.

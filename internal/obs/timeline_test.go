@@ -10,11 +10,8 @@ import (
 )
 
 func TestTimelineNilAndUnobserved(t *testing.T) {
-	if tl := StartTimeline(nil, time.Millisecond); tl != nil {
-		t.Fatal("StartTimeline(nil run) != nil")
-	}
-	if tl := StartTimeline(NewRun(nil, nil), time.Millisecond); tl != nil {
-		t.Fatal("StartTimeline(registry-less run) != nil")
+	if tl := StartTimeline(nil, NewFlightRecorder(8), time.Millisecond); tl != nil {
+		t.Fatal("StartTimeline(nil registry) != nil")
 	}
 	var tl *Timeline
 	tl.Stop() // must not panic
@@ -36,7 +33,7 @@ func TestTimelineNilAndUnobserved(t *testing.T) {
 func TestTimelineSamplesCountersAndGauges(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
-	tl := StartTimeline(run, time.Hour) // only explicit ticks
+	tl := StartTimeline(reg, nil, time.Hour) // only explicit ticks
 	run.Add(CCoverageTests, 5)
 	reg.SetGauge(GPoolBusyRatio, 0.75)
 	tl.tick()
@@ -78,9 +75,8 @@ func seriesNames(d TimelineDump) []string {
 
 func TestTimelineHistogramPercentileSeries(t *testing.T) {
 	reg := NewRegistry()
-	run := NewRun(nil, reg)
 	reg.Histogram("coverage_batch").Observe(2 * time.Millisecond)
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, nil, time.Hour)
 	tl.Stop()
 	d := tl.Dump(nil, 0)
 	if _, ok := d.Series["hist_coverage_batch_p50"]; !ok {
@@ -94,7 +90,7 @@ func TestTimelineHistogramPercentileSeries(t *testing.T) {
 func TestTimelineDumpFilters(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, nil, time.Hour)
 	run.Inc(CCoverageTests)
 	tl.tick()
 	tl.Stop()
@@ -131,8 +127,7 @@ func TestTimelineRingEviction(t *testing.T) {
 
 func TestTimelineSeriesCapDropsLoudly(t *testing.T) {
 	reg := NewRegistry()
-	run := NewRun(nil, reg)
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, nil, time.Hour)
 	tl.mu.Lock()
 	tl.maxSer = len(tl.series) // no room for anything new
 	tl.mu.Unlock()
@@ -151,7 +146,7 @@ func TestTimelineSeriesCapDropsLoudly(t *testing.T) {
 func TestTimelineWriteJSONL(t *testing.T) {
 	reg := NewRegistry()
 	run := NewRun(nil, reg)
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, nil, time.Hour)
 	run.Add(CCoverageTests, 7)
 	tl.tick()
 	tl.Stop()
@@ -186,8 +181,7 @@ func TestTimelineWriteJSONL(t *testing.T) {
 
 func TestTimelineSummary(t *testing.T) {
 	reg := NewRegistry()
-	run := NewRun(nil, reg)
-	tl := StartTimeline(run, time.Hour)
+	tl := StartTimeline(reg, nil, time.Hour)
 	reg.SetGauge(GPoolBusyRatio, 0.5)
 	tl.tick()
 	reg.SetGauge(GPoolBusyRatio, 0.9)

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // The stall watchdog turns "is it stuck or just slow?" into a signal. A
 // run's hot paths emit heartbeats (span begins/ends, per-example coverage
@@ -11,8 +8,8 @@ import (
 // goroutine watches the heartbeat counter and, when it stops moving for a
 // configured interval, trips: it bumps the watchdog_stalls counter,
 // records the event in the flight recorder, snapshots the live span
-// stack, and invokes the caller's stall hook (the binaries log the stack
-// and dump the flight recorder). The watchdog re-arms once progress
+// stack, and invokes the caller's stall hook (the Session logs the stack
+// and dumps the flight recorder). The watchdog re-arms once progress
 // resumes, so a run that stalls twice trips twice.
 
 // LiveSpan is one entry of a live span-stack snapshot, innermost first.
@@ -55,35 +52,27 @@ type StallInfo struct {
 // unobserved runs or a non-positive stall interval) is a valid nop.
 type Watchdog struct {
 	run     *Run
+	fr      *FlightRecorder
 	stall   time.Duration
 	onStall func(StallInfo)
 	stop    chan struct{}
 	done    chan struct{}
-	trips   atomic.Int64
+	trips   int64 // owned by the watch goroutine
 }
 
 // StartWatchdog begins watching the run's heartbeat counter: if it does
 // not move for at least stall, the watchdog trips — watchdog_stalls is
-// incremented, the flight recorder (when attached) gets a watchdog_stall
-// record, and onStall (optional) runs on the watchdog goroutine with the
-// live span stack. It returns nil — and watches nothing — for a nil run
-// or non-positive stall.
-func StartWatchdog(run *Run, stall time.Duration, onStall func(StallInfo)) *Watchdog {
+// incremented, fr (when non-nil) gets a watchdog_stall record, and onStall
+// (optional) runs on the watchdog goroutine with the live span stack. It
+// returns nil — and watches nothing — for a nil run or non-positive stall.
+func StartWatchdog(run *Run, fr *FlightRecorder, stall time.Duration, onStall func(StallInfo)) *Watchdog {
 	if run == nil || stall <= 0 {
 		return nil
 	}
-	w := &Watchdog{run: run, stall: stall, onStall: onStall,
+	w := &Watchdog{run: run, fr: fr, stall: stall, onStall: onStall,
 		stop: make(chan struct{}), done: make(chan struct{})}
 	go w.watch()
 	return w
-}
-
-// Trips returns how many times the watchdog has tripped.
-func (w *Watchdog) Trips() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.trips.Load()
 }
 
 // Stop shuts the watchdog down and waits for its goroutine to exit.
@@ -137,10 +126,10 @@ func (w *Watchdog) watch() {
 
 // trip reports one detected stall.
 func (w *Watchdog) trip(stalled time.Duration) {
-	trips := w.trips.Add(1)
+	w.trips++
 	w.run.Inc(CWatchdogStalls)
-	w.run.Flight().Record(FKWatchdog, "stall", int64(stalled), trips)
+	w.fr.Record(FKWatchdog, "stall", int64(stalled), w.trips)
 	if w.onStall != nil {
-		w.onStall(StallInfo{Stalled: stalled, Spans: w.run.LiveSpans(), Trips: trips})
+		w.onStall(StallInfo{Stalled: stalled, Spans: w.run.LiveSpans(), Trips: w.trips})
 	}
 }

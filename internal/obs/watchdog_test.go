@@ -6,29 +6,26 @@ import (
 )
 
 func TestWatchdogNilAndDisabledCases(t *testing.T) {
-	if w := StartWatchdog(nil, time.Second, nil); w != nil {
+	if w := StartWatchdog(nil, nil, time.Second, nil); w != nil {
 		t.Error("nil run did not yield a nil watchdog")
 	}
 	run := NewRun(nil, NewRegistry())
-	if w := StartWatchdog(run, 0, nil); w != nil {
+	if w := StartWatchdog(run, nil, 0, nil); w != nil {
 		t.Error("zero stall did not yield a nil watchdog")
 	}
 	var w *Watchdog
 	w.Stop() // must not panic
-	if w.Trips() != 0 {
-		t.Error("nil Trips != 0")
-	}
 }
 
 func TestWatchdogTripsOnStall(t *testing.T) {
 	reg := NewRegistry()
 	fr := NewFlightRecorder(64)
-	run := NewRun(nil, reg).WithFlightRecorder(fr)
+	run := NewRun(nil, reg)
 	sp := run.StartSpan("learn")
 	defer sp.End()
 
 	infos := make(chan StallInfo, 4)
-	wd := StartWatchdog(run, 20*time.Millisecond, func(si StallInfo) { infos <- si })
+	wd := StartWatchdog(run, fr, 20*time.Millisecond, func(si StallInfo) { infos <- si })
 	defer wd.Stop()
 
 	// No heartbeats arrive, so the watchdog must trip within a few stall
@@ -42,8 +39,8 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	if si.Stalled < 20*time.Millisecond {
 		t.Errorf("stalled = %v, want >= 20ms", si.Stalled)
 	}
-	if si.Trips != 1 || wd.Trips() != 1 {
-		t.Errorf("trips = %d/%d, want 1", si.Trips, wd.Trips())
+	if si.Trips != 1 {
+		t.Errorf("trips = %d, want 1", si.Trips)
 	}
 	if len(si.Spans) != 1 || si.Spans[0].Name != "learn" {
 		t.Errorf("live span stack = %+v, want [learn]", si.Spans)
@@ -63,9 +60,10 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 }
 
 func TestWatchdogOneTripPerEpisode(t *testing.T) {
-	run := NewRun(nil, NewRegistry())
+	reg := NewRegistry()
+	run := NewRun(nil, reg)
 	infos := make(chan StallInfo, 8)
-	wd := StartWatchdog(run, 15*time.Millisecond, func(si StallInfo) { infos <- si })
+	wd := StartWatchdog(run, nil, 15*time.Millisecond, func(si StallInfo) { infos <- si })
 	defer wd.Stop()
 
 	select {
@@ -80,15 +78,15 @@ func TestWatchdogOneTripPerEpisode(t *testing.T) {
 		t.Fatalf("second trip (%+v) without intervening progress", si)
 	case <-time.After(100 * time.Millisecond):
 	}
-	if wd.Trips() != 1 {
-		t.Errorf("trips = %d, want 1", wd.Trips())
+	if n := reg.Get(CWatchdogStalls); n != 1 {
+		t.Errorf("watchdog_stalls = %d, want 1", n)
 	}
 }
 
 func TestWatchdogRearmsOnProgress(t *testing.T) {
 	run := NewRun(nil, NewRegistry())
 	infos := make(chan StallInfo, 8)
-	wd := StartWatchdog(run, 15*time.Millisecond, func(si StallInfo) { infos <- si })
+	wd := StartWatchdog(run, nil, 15*time.Millisecond, func(si StallInfo) { infos <- si })
 	defer wd.Stop()
 
 	select {
@@ -116,7 +114,7 @@ func TestWatchdogRearmsOnProgress(t *testing.T) {
 func TestWatchdogQuietWhileProgressing(t *testing.T) {
 	run := NewRun(nil, NewRegistry())
 	infos := make(chan StallInfo, 8)
-	wd := StartWatchdog(run, 25*time.Millisecond, func(si StallInfo) { infos <- si })
+	wd := StartWatchdog(run, nil, 25*time.Millisecond, func(si StallInfo) { infos <- si })
 
 	// Keep the heartbeat moving for several stall intervals: no trip.
 	deadline := time.Now().Add(150 * time.Millisecond)
