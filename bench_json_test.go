@@ -159,3 +159,15 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 	t.Logf("wrote %d documents to %s", len(file.Documents), path)
 }
+
+// TestBenchEntryKeepsZeroMetrics: a zero per-op metric is written, not
+// omitted — CI's absolute mem_bytes/op@<=0 ceilings need the key present.
+func TestBenchEntryKeepsZeroMetrics(t *testing.T) {
+	out, err := json.Marshal(benchEntry{Name: "Subsumption/chain/compiled", Metrics: map[string]float64{"mem_bytes/op": 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), `"mem_bytes/op":0`) {
+		t.Fatalf("zero metric omitted: %s", out)
+	}
+}

@@ -314,28 +314,72 @@ func subsumptionShapes() []subsumptionShape {
 	}
 }
 
+// preparedShape compiles the shape's target and prepares its source the
+// way coverage testing does: under one zero-arity head, in one shared
+// symbol space that already holds every name either clause uses, as an
+// instance's store holds the names of its bottom clauses and candidates.
+func preparedShape(shape subsumptionShape) (*subsume.Compiled, *subsume.Source) {
+	head := logic.NewAtom("t")
+	space := logic.NewSymbols()
+	for _, a := range append(append([]logic.Atom{head}, shape.dBody...), shape.cBody...) {
+		space.Intern(a.Pred)
+		for _, t := range a.Args {
+			if !t.IsVar {
+				space.Intern(t.Name)
+			}
+		}
+	}
+	cd := subsume.CompileIn(space, &logic.Clause{Head: head, Body: shape.dBody})
+	return cd, subsume.Prepare(space, &logic.Clause{Head: head, Body: shape.cBody})
+}
+
 // benchSubsumptionCompiled times the compile-once/match-many path on one
-// shape; shared between BenchmarkSubsumption and the BENCH_castor.json
-// emitter.
+// shape — the coverage access pattern: the target is compiled, the source
+// prepared and the pooled matcher warmed outside the timed loop, so each
+// op is one steady-state probe. Shared
+// between BenchmarkSubsumption and the BENCH_castor.json emitter.
 func benchSubsumptionCompiled(b *testing.B, shape subsumptionShape) {
 	reg := obs.NewRegistry()
 	run := obs.NewRun(nil, reg)
-	cd := subsume.CompileBody(shape.dBody)
+	cd, src := preparedShape(shape)
+	cd.Probe(nil, src) // grow the pooled matcher to this shape
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := cd.SubsumesBodyR(run, shape.cBody, nil); got != shape.want {
+		if got := cd.Probe(run, src); got != shape.want {
 			b.Fatalf("%s: got %v, want %v", shape.name, got, shape.want)
 		}
 	}
 	b.ReportMetric(float64(reg.Get(obs.CSubsumptionNodes))/float64(b.N), "nodes/op")
 }
 
+// TestSubsumptionProbeZeroAlloc pins the coverage probe at zero
+// allocations: on every benchmark shape, a prepared source probing a
+// compiled target allocates nothing in steady state, unobserved and with
+// a registry run.
+func TestSubsumptionProbeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled matchers at random")
+	}
+	for _, shape := range subsumptionShapes() {
+		cd, src := preparedShape(shape)
+		for _, run := range []*obs.Run{nil, obs.NewRun(nil, obs.NewRegistry())} {
+			if got := cd.Probe(run, src); got != shape.want {
+				t.Fatalf("%s: got %v, want %v", shape.name, got, shape.want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { cd.Probe(run, src) }); allocs != 0 {
+				t.Errorf("%s (registry run %v): %v allocs per probe, want 0", shape.name, run != nil, allocs)
+			}
+		}
+	}
+}
+
 // BenchmarkSubsumption measures the θ-subsumption engine itself on the
 // shapes above, reporting backtracking nodes per op. The oneshot variants
-// pay target compilation every call (the engine's Subsumes/SubsumesBody
-// entry points); the compiled variants compile the target once and probe
-// it repeatedly, the coverage-testing access pattern.
+// pay target compilation and source preparation every call (the engine's
+// Subsumes/SubsumesBody entry points); the compiled variants compile the
+// target and prepare the source once and probe repeatedly, the
+// coverage-testing access pattern.
 func BenchmarkSubsumption(b *testing.B) {
 	for _, shape := range subsumptionShapes() {
 		b.Run(shape.name+"/oneshot", func(b *testing.B) {

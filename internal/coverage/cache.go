@@ -2,7 +2,6 @@ package coverage
 
 import (
 	"container/list"
-	"hash/fnv"
 	"strconv"
 	"sync"
 
@@ -42,9 +41,9 @@ func NewCache(capacity int) *Cache {
 }
 
 // Key builds the cache key for evaluating clause c over the example set
-// identified by setKey.
-func (ca *Cache) Key(c *logic.Clause, setKey string) string {
-	return logic.CanonicalKey(c) + "\x00" + setKey
+// identified by set.
+func (ca *Cache) Key(c *logic.Clause, set ExampleSet) string {
+	return logic.CanonicalKey(c) + "\x00" + strconv.Itoa(set.n) + ":" + strconv.FormatUint(set.digest, 16)
 }
 
 // Get returns a copy of the memoized bitset for the key, if present. A
@@ -87,6 +86,13 @@ func (ca *Cache) Len() int {
 	return ca.order.Len()
 }
 
+// ExampleSet identifies an example slice in cache keys: its length and a
+// digest of its examples' ground-atom keys.
+type ExampleSet struct {
+	n      int
+	digest uint64
+}
+
 // SetKey digests an example slice into a stable identifier for cache keys.
 // Example sets inside one Learn call are slices of the problem's Pos/Neg,
 // so hashing the ground-atom keys (plus length) identifies the set; FNV
@@ -94,12 +100,12 @@ func (ca *Cache) Len() int {
 // correctness risk, and the 64-bit space over at most a few thousand
 // distinct sets makes that negligible — and an uncovered-set slice that
 // shrinks each covering iteration always changes length, which is hashed
-// too.
-func SetKey(examples []logic.Atom) string {
-	h := fnv.New64a()
+// too. The digest is FNV-1a over each key and a NUL, fed straight from the
+// atoms, so SetKey allocates nothing.
+func SetKey(examples []logic.Atom) ExampleSet {
+	h := logic.FNVOffset
 	for _, e := range examples {
-		h.Write([]byte(e.Key()))
-		h.Write([]byte{0})
+		h = e.KeyHash(h)
 	}
-	return strconv.Itoa(len(examples)) + ":" + strconv.FormatUint(h.Sum64(), 16)
+	return ExampleSet{n: len(examples), digest: h}
 }

@@ -8,11 +8,14 @@ import (
 	"repro/internal/obs"
 )
 
-// CoverFunc decides whether one clause covers one example. ilp.Tester
-// supplies it, closing over the coverage mode (direct evaluation or
-// θ-subsumption) and its own instrumentation; implementations must be safe
-// for concurrent use.
-type CoverFunc func(c *logic.Clause, e logic.Atom) bool
+// CoverFunc returns the coverage test of one clause: a prober deciding
+// whether the clause covers an example. The engine asks once per clause
+// per example list and runs the prober on every example of the list, so
+// per-clause setup (interning the candidate for θ-subsumption) is paid
+// once, not per example. ilp.Tester supplies it, closing over the coverage
+// mode and its own instrumentation; probers must be safe for concurrent
+// use.
+type CoverFunc func(c *logic.Clause) func(e logic.Atom) bool
 
 // CostFunc estimates the relative cost of testing one example: for
 // subsumption-mode coverage the compiled bottom-clause size, for direct
@@ -158,6 +161,7 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 		}
 		en.run.Add(obs.CCoverageSkipped, skipped)
 	}
+	probe := en.cover(c)
 	ownPool := false
 	if pl == nil && en.workers > 1 && n >= 2 {
 		pl = newPool(en.workers, "coverage_testing", en.util)
@@ -167,7 +171,7 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 		out := New(n)
 		for i, e := range examples {
 			en.run.Heartbeat()
-			if known.Get(i) || en.cover(c, e) {
+			if known.Get(i) || probe(e) {
 				out.Set(i)
 			}
 		}
@@ -185,7 +189,7 @@ func (en *Engine) evaluate(c *logic.Clause, examples []logic.Atom, known *Bitset
 	runShards(en.run, pl, "coverage_testing", shards, func(sh shard) {
 		for i := sh.lo; i < sh.hi; i++ {
 			en.run.Heartbeat()
-			buf[i] = known.Get(i) || en.cover(c, examples[i])
+			buf[i] = known.Get(i) || probe(examples[i])
 		}
 	})
 	if ownPool {
@@ -358,6 +362,7 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 		return cands[i].KnownNeg
 	}
 	bufs := make([][]bool, len(cands))
+	probes := make([]func(logic.Atom) bool, len(cands))
 	var itemCand, itemEx []int32
 	skipped := int64(0)
 	for i := range cands {
@@ -365,6 +370,7 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 			continue
 		}
 		bufs[i] = make([]bool, len(examples))
+		first := len(itemCand)
 		for j := range examples {
 			if known(i).Get(j) {
 				bufs[i][j] = true
@@ -373,6 +379,9 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 			}
 			itemCand = append(itemCand, int32(i))
 			itemEx = append(itemEx, int32(j))
+		}
+		if len(itemCand) > first {
+			probes[i] = en.cover(cands[i].Clause)
 		}
 	}
 	en.run.Add(obs.CCoverageSkipped, skipped)
@@ -387,7 +396,7 @@ func (en *Engine) batchCovered(pl *pool, cands []Candidate, examples []logic.Ato
 			for k := sh.lo; k < sh.hi; k++ {
 				en.run.Heartbeat()
 				ci, ej := itemCand[k], itemEx[k]
-				if en.cover(cands[ci].Clause, examples[ej]) {
+				if probes[ci](examples[ej]) {
 					bufs[ci][ej] = true
 				}
 			}
@@ -479,6 +488,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 		prune()
 		return
 	}
+	probe := en.cover(cand.Clause)
 	var covered, scanned atomic.Int64
 	var aborted atomic.Bool
 	scan := func(sh shard) {
@@ -491,7 +501,7 @@ func (en *Engine) scoreNeg(pl *pool, s *Score, cand Candidate, neg []logic.Atom,
 			en.run.Heartbeat()
 			local++
 			j := items[k]
-			if en.cover(cand.Clause, neg[j]) {
+			if probe(neg[j]) {
 				buf[j] = true
 				n := baseN + int(covered.Add(1))
 				if limit != NoBound && p-n <= limit {

@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,14 @@ func (f *fakeCover) fn(c *logic.Clause, e logic.Atom) bool {
 	return i%2 == len(c.Body)%2
 }
 
+// pairwise adapts a per-(clause, example) cover function to the engine's
+// prober factory.
+func pairwise(f func(*logic.Clause, logic.Atom) bool) CoverFunc {
+	return func(c *logic.Clause) func(logic.Atom) bool {
+		return func(e logic.Atom) bool { return f(c, e) }
+	}
+}
+
 func exampleAtoms(n int) []logic.Atom {
 	out := make([]logic.Atom, n)
 	for i := range out {
@@ -33,8 +42,8 @@ func TestEngineCoveredSetParallelMatchesSequential(t *testing.T) {
 	exs := exampleAtoms(97)
 	c := logic.MustParseClause("h(X) :- p(X), q(X).")
 	var f fakeCover
-	seq := NewEngine(f.fn, 1, nil, nil).CoveredSet(c, exs, nil)
-	par := NewEngine(f.fn, 8, nil, nil).CoveredSet(c, exs, nil)
+	seq := NewEngine(pairwise(f.fn), 1, nil, nil).CoveredSet(c, exs, nil)
+	par := NewEngine(pairwise(f.fn), 8, nil, nil).CoveredSet(c, exs, nil)
 	if !seq.Equal(par) {
 		t.Fatal("parallel and sequential CoveredSet disagree")
 	}
@@ -49,7 +58,7 @@ func TestEngineMemoCache(t *testing.T) {
 	exs := exampleAtoms(40)
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(f.fn, 2, NewCache(0), obs.NewRun(nil, reg))
+	en := NewEngine(pairwise(f.fn), 2, NewCache(0), obs.NewRun(nil, reg))
 
 	c1 := logic.MustParseClause("h(X) :- p(X).")
 	first := en.CoveredSet(c1, exs, nil)
@@ -93,7 +102,7 @@ func TestEngineKnownShortcut(t *testing.T) {
 	}
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(f.fn, 1, nil, obs.NewRun(nil, reg))
+	en := NewEngine(pairwise(f.fn), 1, nil, obs.NewRun(nil, reg))
 	out := en.CoveredSet(c, exs, known)
 	if f.calls.Load() != 15 {
 		t.Fatalf("ran %d tests, want 15 (skipping knowns)", f.calls.Load())
@@ -110,7 +119,7 @@ func TestEngineKnownShortcut(t *testing.T) {
 	// panic (the seed implementation crashed in the worker goroutine here).
 	shortKnown := New(5)
 	shortKnown.Set(0)
-	if got := NewEngine(f.fn, 4, nil, nil).CoveredSet(c, exs, shortKnown); got.Len() != 30 {
+	if got := NewEngine(pairwise(f.fn), 4, nil, nil).CoveredSet(c, exs, shortKnown); got.Len() != 30 {
 		t.Fatalf("short-known result len = %d", got.Len())
 	}
 }
@@ -124,7 +133,7 @@ func TestEngineScoreBatch(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		var f fakeCover
-		scores := NewEngine(f.fn, workers, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
+		scores := NewEngine(pairwise(f.fn), workers, nil, nil).ScoreBatch(cands, pos, neg, NoBound, 0)
 		if len(scores) != 2 {
 			t.Fatalf("workers=%d: %d scores", workers, len(scores))
 		}
@@ -144,7 +153,7 @@ func TestEngineScoreBatchPrunes(t *testing.T) {
 	neg := exampleAtoms(40)
 	var f fakeCover
 	reg := obs.NewRegistry()
-	en := NewEngine(f.fn, 1, nil, obs.NewRun(nil, reg))
+	en := NewEngine(pairwise(f.fn), 1, nil, obs.NewRun(nil, reg))
 	// The candidate scores p−n = 10−20 = −10; a floor of 5 means the scan
 	// may stop as soon as p−n ≤ 5, and the pruned payload is canonical:
 	// an empty negative side, regardless of how far the scan got.
@@ -218,7 +227,7 @@ func TestEngineScoreBatchKeepBound(t *testing.T) {
 	var want []Score
 	for _, workers := range []int{1, 2, 8} {
 		reg := obs.NewRegistry()
-		got := NewEngine(cover, workers, nil, obs.NewRun(nil, reg)).ScoreBatch(cands, pos, neg, NoBound, 1)
+		got := NewEngine(pairwise(cover), workers, nil, obs.NewRun(nil, reg)).ScoreBatch(cands, pos, neg, NoBound, 1)
 		if got[0].Pruned || got[0].P != 20 || got[0].N != 0 {
 			t.Fatalf("workers=%d: candidate 0 = %+v, want complete 20/0", workers, got[0])
 		}
@@ -285,7 +294,7 @@ func TestEngineScoreBatchFullUtilization(t *testing.T) {
 		}
 		return false
 	}
-	NewEngine(cover, workers, nil, nil).ScoreBatch(cands, pos, nil, NoBound, 0)
+	NewEngine(pairwise(cover), workers, nil, nil).ScoreBatch(cands, pos, nil, NoBound, 0)
 	if timedOut.Load() {
 		t.Fatalf("pool never reached %d concurrent coverage tests (peak %d)", workers, peak.Load())
 	}
@@ -298,7 +307,7 @@ func TestEngineScoreBatchDoesNotCachePartialNeg(t *testing.T) {
 	pos := exampleAtoms(20)
 	neg := exampleAtoms(40)
 	var f fakeCover
-	en := NewEngine(f.fn, 1, NewCache(0), nil)
+	en := NewEngine(pairwise(f.fn), 1, NewCache(0), nil)
 	c := logic.MustParseClause("h(X) :- p(X).")
 	pruned := en.ScoreBatch([]Candidate{{Clause: c}}, pos, neg, 5, 0)[0]
 	if !pruned.Pruned {
@@ -339,5 +348,27 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if ca.Len() != 2 {
 		t.Errorf("Len = %d", ca.Len())
+	}
+}
+
+// TestSetKeyBytesAndAllocs: SetKey digests the bytes the string-building
+// version hashed — each example's Key() and a NUL — so cache keys are
+// byte-identical to before, and it allocates nothing.
+func TestSetKeyBytesAndAllocs(t *testing.T) {
+	exs := append(exampleAtoms(40),
+		logic.GroundAtom("advisedBy", "person1", "person2"),
+		logic.GroundAtom("q", "", "A Paper", "it's"))
+	h := fnv.New64a()
+	for _, e := range exs {
+		h.Write([]byte(e.Key()))
+		h.Write([]byte{0})
+	}
+	c := logic.MustParseClause("t(X) :- p(X,Y), q(Y).")
+	want := logic.CanonicalKey(c) + "\x00" + strconv.Itoa(len(exs)) + ":" + strconv.FormatUint(h.Sum64(), 16)
+	if got := NewCache(0).Key(c, SetKey(exs)); got != want {
+		t.Fatalf("cache key %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { SetKey(exs) }); allocs != 0 {
+		t.Fatalf("SetKey: %v allocs, want 0", allocs)
 	}
 }

@@ -34,10 +34,13 @@ type Tester struct {
 	// when nil the classic saturation of §6.1 is used.
 	SatFn func(e logic.Atom) *logic.Clause
 
-	// saturations maps example key → *satEntry. Probes are lock-free once
-	// an example is compiled, so every worker of a beam batch shares one
-	// subsume.Compiled target without mutex traffic on the hot path.
-	saturations sync.Map
+	// saturations maps the hash of an example's key (Atom.KeyHash) →
+	// *satEntry; collided maps the full key of an example whose hash
+	// another example already owns. Probes are lock-free and allocation-
+	// free once an example is compiled, so every worker of a beam batch
+	// shares one subsume.Compiled target without mutex traffic on the hot
+	// path.
+	saturations, collided sync.Map
 }
 
 // satEntry holds one example's compiled ground bottom clause. The Once
@@ -46,6 +49,7 @@ type Tester struct {
 // the atomic pointer lets the shard cost model peek at the compiled size
 // without synchronizing against an in-flight compile.
 type satEntry struct {
+	ex   logic.Atom
 	once sync.Once
 	cd   atomic.Pointer[subsume.Compiled]
 }
@@ -62,6 +66,9 @@ func NewTester(prob *Problem, params Params) *Tester {
 	// compact once, up front, instead of lazily under the first concurrent
 	// probe, and let large scans fan out as wide as the coverage pool.
 	prob.Instance.SetScanWorkers(params.Parallelism)
+	// The target predicate joins the instance's symbol space before it
+	// freezes, so example targets and candidates name their heads by id.
+	prob.Instance.Symbols().Intern(prob.Target.Name)
 	prob.Instance.Freeze()
 	t := &Tester{prob: prob, params: params, run: params.Obs}
 	if reg := params.Obs.Registry(); reg != nil {
@@ -72,7 +79,7 @@ func NewTester(prob *Problem, params Params) *Tester {
 	if !params.DisableCoverageCache {
 		cache = coverage.NewCache(0)
 	}
-	t.engine = coverage.NewEngine(t.Covers, params.Parallelism, cache, params.Obs)
+	t.engine = coverage.NewEngine(t.Prober, params.Parallelism, cache, params.Obs)
 	t.engine.SetCostFn(t.exampleCost)
 	return t
 }
@@ -81,40 +88,49 @@ func NewTester(prob *Problem, params Params) *Tester {
 // learners that want to report through the same channel.
 func (t *Tester) Run() *obs.Run { return t.run }
 
-// Covers reports whether the clause covers the example. It is the
-// engine's CoverFunc and safe for concurrent use.
-func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool {
-	t.run.Inc(obs.CCoverageTests)
-	switch t.params.CoverageMode {
-	case CoverageSubsumption:
-		cd := t.saturation(e)
+// Covers reports whether the clause covers the example; safe for
+// concurrent use. Testing one clause against many examples, Prober pays
+// the clause's setup once.
+func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool { return t.Prober(c)(e) }
+
+// Prober returns the coverage test of one clause, the engine's CoverFunc.
+// In subsumption mode the clause is interned once into the instance's
+// symbol space, by the first probe, so a batch's candidates are prepared
+// on the pool's workers; each example then probes its compiled ground
+// bottom clause with it. In direct mode each example evaluates the clause
+// on the store. The prober is safe for concurrent use.
+func (t *Tester) Prober(c *logic.Clause) func(e logic.Atom) bool {
+	if t.params.CoverageMode != CoverageSubsumption {
+		return func(e logic.Atom) bool {
+			t.run.Inc(obs.CCoverageTests)
+			return t.prob.Instance.CoversExample(c, e)
+		}
+	}
+	prepare := sync.OnceValue(func() *subsume.Source { return subsume.Prepare(t.prob.Instance.Symbols(), c) })
+	return func(e logic.Atom) bool {
+		t.run.Inc(obs.CCoverageTests)
+		src, cd := prepare(), t.saturation(e)
 		if t.probeHist == nil {
-			return cd.SubsumesR(t.run, c)
+			return cd.Probe(t.run, src)
 		}
 		start := time.Now()
-		ok := cd.SubsumesR(t.run, c)
+		ok := cd.Probe(t.run, src)
 		t.probeHist.Observe(time.Since(start))
 		return ok
-	default:
-		return t.prob.Instance.CoversExample(c, e)
 	}
 }
 
 // saturation returns (building, compiling and caching on demand) the
 // ground bottom clause of the example in the engine's compile-once form:
-// the clause is skolemized, interned and indexed exactly once — a Once
-// per example, so concurrent shard workers never compile duplicates — and
-// every candidate the covering loop scores against this example probes
-// the same compilation from every worker, the match-many side of the
-// §7.5.3 engine. The fast path is a lock-free map load.
+// the clause is skolemized, interned into the instance's symbol space and
+// indexed exactly once — a Once per example, so concurrent shard workers
+// never compile duplicates — and every candidate the covering loop scores
+// against this example probes the same compilation from every worker, the
+// match-many side of the §7.5.3 engine. The fast path is a lock-free map
+// load.
 func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
-	k := e.Key()
-	v, ok := t.saturations.Load(k)
-	if !ok {
-		v, ok = t.saturations.LoadOrStore(k, &satEntry{})
-	}
-	ent := v.(*satEntry)
-	if ok {
+	ent, loaded := t.entry(e, true)
+	if loaded {
 		t.run.Inc(obs.CSaturationHits)
 	}
 	ent.once.Do(func() {
@@ -125,9 +141,35 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 		} else {
 			bc = Saturation(t.prob, e, t.params.Depth, t.params.MaxRecall)
 		}
-		ent.cd.Store(subsume.Compile(bc))
+		ent.cd.Store(subsume.CompileIn(t.prob.Instance.Symbols(), bc))
 	})
 	return ent.cd.Load()
+}
+
+// entry finds the example's saturation entry without building its key,
+// creating the entry when create is set; loaded reports whether it already
+// existed. nil when absent and not created.
+func (t *Tester) entry(e logic.Atom, create bool) (*satEntry, bool) {
+	h := e.KeyHash(logic.FNVOffset)
+	v, loaded := t.saturations.Load(h)
+	if !loaded {
+		if !create {
+			return nil, false
+		}
+		v, loaded = t.saturations.LoadOrStore(h, &satEntry{ex: e})
+	}
+	if ent := v.(*satEntry); ent.ex.Equal(e) {
+		return ent, loaded
+	}
+	// Another example owns this hash: fall back to the full key.
+	v, loaded = t.collided.Load(e.Key())
+	if !loaded {
+		if !create {
+			return nil, false
+		}
+		v, loaded = t.collided.LoadOrStore(e.Key(), &satEntry{ex: e})
+	}
+	return v.(*satEntry), loaded
 }
 
 // exampleCost is the engine's shard-sizing cost model. In subsumption
@@ -139,8 +181,8 @@ func (t *Tester) saturation(e logic.Atom) *subsume.Compiled {
 // coarseness is harmless.
 func (t *Tester) exampleCost(e logic.Atom) int64 {
 	if t.params.CoverageMode == CoverageSubsumption {
-		if v, ok := t.saturations.Load(e.Key()); ok {
-			if cd := v.(*satEntry).cd.Load(); cd != nil {
+		if ent, ok := t.entry(e, false); ok {
+			if cd := ent.cd.Load(); cd != nil {
 				return int64(cd.Len()) + 1
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/ilp"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/testfix"
 )
 
@@ -120,5 +121,57 @@ func TestScoreBatchEmpty(t *testing.T) {
 	scores := tester.ScoreBatch([]coverage.Candidate{{Clause: c}}, nil, nil, coverage.NoBound, 0)
 	if len(scores) != 1 || scores[0].P != 0 || scores[0].N != 0 || scores[0].Pruned {
 		t.Fatalf("empty example sets: %+v", scores[0])
+	}
+}
+
+// TestSaturationLookupZeroAlloc pins the compiled-target lookup of every
+// subsumption probe at zero allocations once the example is compiled, on
+// unobserved and registry runs; an equal example built from fresh strings
+// finds the same compilation.
+func TestSaturationLookupZeroAlloc(t *testing.T) {
+	prob := testfix.NewWorld(6).ProblemOriginal()
+	params := ilp.Defaults()
+	params.CoverageMode = ilp.CoverageSubsumption
+	for _, run := range []*obs.Run{nil, obs.NewRun(nil, obs.NewRegistry())} {
+		params.Obs = run
+		tester := ilp.NewTester(prob, params)
+		e := prob.Pos[0]
+		cd := tester.SaturationOf(e)
+		if allocs := testing.AllocsPerRun(100, func() { tester.SaturationOf(e) }); allocs != 0 {
+			t.Errorf("registry run %v: %v allocs per saturation lookup, want 0", run != nil, allocs)
+		}
+		var names []string
+		for _, a := range e.Args {
+			names = append(names, string([]byte(a.Name)))
+		}
+		if same := logic.GroundAtom(string([]byte(e.Pred)), names...); tester.SaturationOf(same) != cd {
+			t.Errorf("an equal example missed the compiled target")
+		}
+	}
+}
+
+// TestSaturationHashCollision: when another example already owns an
+// example's key hash, the example is compiled under its full key instead,
+// the other example's entry is left alone, and coverage answers match a
+// tester that never saw the collision.
+func TestSaturationHashCollision(t *testing.T) {
+	prob := testfix.NewWorld(6).ProblemOriginal()
+	params := ilp.Defaults()
+	params.CoverageMode = ilp.CoverageSubsumption
+	c := logic.MustParseClause("advisedBy(X,Y) :- publication(P,X), publication(P,Y).")
+	e, other := prob.Pos[0], prob.Pos[1]
+	tester := ilp.NewTester(prob, params)
+	untouched := tester.PlantImpostor(e, other)
+	fresh := ilp.NewTester(prob, params)
+	for _, ex := range []logic.Atom{e, e, prob.Neg[0]} {
+		if got, want := tester.Covers(c, ex), fresh.Covers(c, ex); got != want {
+			t.Errorf("Covers(%v) = %v, want %v", ex, got, want)
+		}
+	}
+	if !untouched() {
+		t.Errorf("the colliding example compiled into the other example's entry")
+	}
+	if tester.SaturationOf(e) != tester.SaturationOf(e) {
+		t.Errorf("the colliding example was compiled twice")
 	}
 }

@@ -138,6 +138,36 @@ func (a Atom) Key() string {
 	return b.String()
 }
 
+// FNVOffset is the initial state of the 64-bit FNV-1a hash KeyHash folds
+// into; fnvPrime is its multiplier.
+const (
+	FNVOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// KeyHash folds the bytes of a.Key() and one NUL terminator into the
+// 64-bit FNV-1a state h without building the key: starting from
+// FNVOffset, it equals hash/fnv's New64a over Key()+"\x00". Chaining it
+// over atoms digests a sequence of keys. It panics if the atom is not
+// ground.
+func (a Atom) KeyHash(h uint64) uint64 {
+	if !a.IsGround() {
+		panic("logic: KeyHash called on non-ground atom " + a.String())
+	}
+	h = fnvString(h, a.Pred)
+	for _, t := range a.Args {
+		h = fnvString(h*fnvPrime, t.Name) // the NUL separator: h ^ 0 == h
+	}
+	return h * fnvPrime
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
 // SortAtoms orders atoms lexicographically by their string form, in place.
 // Useful for deterministic output of atom sets.
 func SortAtoms(atoms []Atom) {

@@ -1,11 +1,10 @@
 package logic
 
 // Interning: predicate and constant names map to dense int32 symbol ids
-// through a Symbols table, variables to dense slots through VarSlots, and
-// atoms to IAtom — the integer form the compiled θ-subsumption engine
-// matches on. String comparison and map-keyed substitutions disappear from
-// the hot path; Extern restores the exact original names, so interning is
-// lossless (round-trip property tested against the parser corpora).
+// through a Symbols table, and atoms to IAtom — the integer form the
+// compiled θ-subsumption engine matches on, with variables as dense slots.
+// String comparison and map-keyed substitutions disappear from the hot
+// path.
 
 // Symbols interns names (predicates and constants share one space) into
 // dense int32 ids: the first distinct name becomes 0, the next 1, and so
@@ -44,34 +43,6 @@ func (s *Symbols) Name(id int32) string { return s.names[id] }
 // Len returns the number of interned names.
 func (s *Symbols) Len() int { return len(s.names) }
 
-// VarSlots assigns dense slots to variable names in first-use order, the
-// per-clause companion of the shared Symbols table.
-type VarSlots struct {
-	idx   map[string]int32
-	names []string
-}
-
-// NewVarSlots returns an empty slot assignment.
-func NewVarSlots() *VarSlots { return &VarSlots{idx: make(map[string]int32)} }
-
-// Slot returns the slot of the variable name, assigning the next free slot
-// on first sight.
-func (v *VarSlots) Slot(name string) int32 {
-	if i, ok := v.idx[name]; ok {
-		return i
-	}
-	i := int32(len(v.names))
-	v.idx[name] = i
-	v.names = append(v.names, name)
-	return i
-}
-
-// Name returns the variable name of a slot.
-func (v *VarSlots) Name(slot int32) string { return v.names[slot] }
-
-// Len returns the number of assigned slots.
-func (v *VarSlots) Len() int { return len(v.names) }
-
 // UnknownSym is the sentinel symbol id of a constant absent from a frozen
 // Symbols table. It never equals a real (nonnegative) id, so a term built
 // from it fails every comparison against interned data — exactly the
@@ -104,34 +75,6 @@ type IAtom struct {
 	Args []ITerm
 }
 
-// Intern converts an atom to interned form, assigning predicate and
-// constant ids through syms and variable slots through vars.
-func Intern(syms *Symbols, vars *VarSlots, a Atom) IAtom {
-	args := make([]ITerm, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar {
-			args[i] = VarITerm(vars.Slot(t.Name))
-		} else {
-			args[i] = ConstITerm(syms.Intern(t.Name))
-		}
-	}
-	return IAtom{Pred: syms.Intern(a.Pred), Args: args}
-}
-
-// Extern converts an interned atom back to its string form. It is the
-// exact inverse of Intern over the same tables.
-func Extern(syms *Symbols, vars *VarSlots, ia IAtom) Atom {
-	args := make([]Term, len(ia.Args))
-	for i, t := range ia.Args {
-		if t.IsVar() {
-			args[i] = Var(vars.Name(t.Slot()))
-		} else {
-			args[i] = Const(syms.Name(t.Sym()))
-		}
-	}
-	return Atom{Pred: syms.Name(ia.Pred), Args: args}
-}
-
 // Subst is a slot-indexed substitution over interned terms: a flat array
 // from variable slot to bound constant symbol, with a trail for O(1)
 // backtracking. It replaces the map[string]Term substitution on the
@@ -148,13 +91,17 @@ type Subst struct {
 // sentinel below.
 const substUnbound int32 = -1
 
-// NewSubst returns a substitution over n slots, all unbound.
-func NewSubst(n int) *Subst {
-	vals := make([]int32, n)
-	for i := range vals {
-		vals[i] = substUnbound
+// Reset unbinds every slot and resizes the substitution to n slots,
+// reusing its storage, so one Subst serves probe after probe.
+func (s *Subst) Reset(n int) {
+	if cap(s.vals) < n {
+		s.vals = make([]int32, n)
 	}
-	return &Subst{vals: vals}
+	s.vals = s.vals[:n]
+	for i := range s.vals {
+		s.vals[i] = substUnbound
+	}
+	s.trail = s.trail[:0]
 }
 
 // Slots returns the number of slots.

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -43,75 +44,59 @@ func corpusStrings(t *testing.T, target string) []string {
 	return out
 }
 
-// checkAtomRoundTrip asserts Extern(Intern(a)) reproduces a exactly:
-// syntactic equality, printer output, and — for ground atoms — Key().
-func checkAtomRoundTrip(t *testing.T, a Atom) {
+// checkKeyHash asserts KeyHash agrees with hash/fnv over Key() plus the
+// NUL terminator, from the offset basis and chained from a prior state.
+func checkKeyHash(t *testing.T, a Atom) {
 	t.Helper()
-	syms, vars := NewSymbols(), NewVarSlots()
-	ia := Intern(syms, vars, a)
-	back := Extern(syms, vars, ia)
-	if !a.Equal(back) {
-		t.Fatalf("intern round trip changed the atom: %v -> %v", a, back)
+	h := fnv.New64a()
+	h.Write([]byte(a.Key()))
+	h.Write([]byte{0})
+	if got, want := a.KeyHash(FNVOffset), h.Sum64(); got != want {
+		t.Fatalf("KeyHash(%v) = %x, want %x", a, got, want)
 	}
-	if a.String() != back.String() {
-		t.Fatalf("intern round trip changed the printed form: %q -> %q", a, back)
-	}
-	if a.IsGround() {
-		if !back.IsGround() {
-			t.Fatalf("intern round trip lost groundness: %v -> %v", a, back)
-		}
-		if a.Key() != back.Key() {
-			t.Fatalf("intern round trip changed Key(): %q -> %q", a.Key(), back.Key())
-		}
+	h.Write([]byte(a.Key()))
+	h.Write([]byte{0})
+	if got, want := a.KeyHash(a.KeyHash(FNVOffset)), h.Sum64(); got != want {
+		t.Fatalf("chained KeyHash(%v) = %x, want %x", a, got, want)
 	}
 }
 
-// TestInternRoundTripCorpora runs the round trip over every parseable
-// input of the checked-in parser fuzz corpora, clause and atom alike.
-func TestInternRoundTripCorpora(t *testing.T) {
+// TestKeyHashCorpora runs checkKeyHash over every ground atom of the
+// checked-in parser fuzz corpora, clause literals included.
+func TestKeyHashCorpora(t *testing.T) {
+	var atoms []Atom
 	for _, src := range corpusStrings(t, "FuzzParseAtomRoundTrip") {
-		a, err := ParseAtom(src)
-		if err != nil {
-			continue
+		if a, err := ParseAtom(src); err == nil {
+			atoms = append(atoms, a)
 		}
-		checkAtomRoundTrip(t, a)
 	}
 	for _, src := range corpusStrings(t, "FuzzParseClauseRoundTrip") {
-		c, err := ParseClause(src)
-		if err != nil {
-			continue
+		if c, err := ParseClause(src); err == nil {
+			atoms = append(append(atoms, c.Head), c.Body...)
 		}
-		// One shared table pair per clause: variables repeated across
-		// literals must come back as the same variable.
-		syms, vars := NewSymbols(), NewVarSlots()
-		atoms := append([]Atom{c.Head}, c.Body...)
-		interned := make([]IAtom, len(atoms))
-		for i, a := range atoms {
-			interned[i] = Intern(syms, vars, a)
+	}
+	n := 0
+	for _, a := range atoms {
+		if a.IsGround() {
+			checkKeyHash(t, a)
+			n++
 		}
-		back := &Clause{Head: Extern(syms, vars, interned[0])}
-		for _, ia := range interned[1:] {
-			back.Body = append(back.Body, Extern(syms, vars, ia))
-		}
-		if !c.Equal(back) {
-			t.Fatalf("intern round trip changed the clause: %v -> %v", c, back)
-		}
-		if c.String() != back.String() {
-			t.Fatalf("intern round trip changed the printed clause: %q -> %q", c, back)
-		}
+	}
+	if n == 0 {
+		t.Fatalf("no ground atom in the corpora")
 	}
 }
 
-// TestQuickInternRoundTrip is the same property over random atoms,
+// TestQuickKeyHash is the same property over random ground atoms,
 // including quote-needing and empty constants.
-func TestQuickInternRoundTrip(t *testing.T) {
+func TestQuickKeyHash(t *testing.T) {
 	f := func(v clauseValue) bool {
-		syms, vars := NewSymbols(), NewVarSlots()
 		for _, a := range append([]Atom{v.c.Head}, v.c.Body...) {
-			back := Extern(syms, vars, Intern(syms, vars, a))
-			if !a.Equal(back) {
-				return false
+			g := a.Clone()
+			for i := range g.Args {
+				g.Args[i] = Const(g.Args[i].Name)
 			}
+			checkKeyHash(t, g)
 		}
 		return true
 	}
@@ -147,7 +132,8 @@ func TestInternSharedSymbols(t *testing.T) {
 // made before the mark survive, bindings after it vanish — across nested
 // mark/undo rounds, the backtracking pattern of the compiled matcher.
 func TestSubstTrailUndo(t *testing.T) {
-	s := NewSubst(5)
+	var s Subst
+	s.Reset(5)
 	snapshot := func() []int32 {
 		out := make([]int32, s.Slots())
 		for i := range out {
@@ -198,6 +184,16 @@ func TestSubstTrailUndo(t *testing.T) {
 	s.Bind(1, 12)
 	if v, ok := s.Value(1); !ok || v != 12 {
 		t.Fatalf("rebinding after undo failed: %d,%v", v, ok)
+	}
+	// Reset reuses the storage for a fresh, fully unbound substitution.
+	s.Reset(3)
+	if s.Slots() != 3 || s.Mark() != 0 {
+		t.Fatalf("Reset(3): %d slots, trail %d", s.Slots(), s.Mark())
+	}
+	for i := int32(0); i < 3; i++ {
+		if _, ok := s.Value(i); ok {
+			t.Fatalf("slot %d still bound after Reset", i)
+		}
 	}
 }
 

@@ -108,6 +108,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 			Pos: -1, Neg: -1, Score: -1, Disposition: obs.DispKept,
 		})
 	}
+	hc := newHeadConn(bottom)
 	build := func(picks []int) *logic.Clause {
 		body := make([]logic.Atom, len(picks))
 		for i, k := range picks {
@@ -175,7 +176,7 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 				continue
 			}
 			seen[ck] = true
-			if !headConnectedPicks(bottom, picks) {
+			if !hc.connected(picks) {
 				continue
 			}
 			if !evaluate(child) {
@@ -238,17 +239,76 @@ func insertSorted(a []int, x int) []int {
 	return out
 }
 
-// headConnectedPicks reports whether every picked literal is connected to
-// the head through the picked subset.
-func headConnectedPicks(bottom *logic.Clause, picks []int) bool {
-	c := &logic.Clause{Head: bottom.Head}
-	for _, k := range picks {
-		c.Body = append(c.Body, bottom.Body[k])
+// headConn decides head-connectedness of pick sets over one bottom clause
+// without building clauses: the bottom clause's variables are numbered
+// once, and the reach and connected scratch is reused across calls, so a
+// check allocates nothing once the scratch has grown.
+type headConn struct {
+	headVars []int32   // numbered variables of the head
+	litVars  [][]int32 // per bottom literal: its distinct numbered variables
+	reach    []bool    // variable → connected to the head
+	done     []bool    // pick position → literal connected
+}
+
+func newHeadConn(bottom *logic.Clause) *headConn {
+	ids := make(map[string]int32)
+	number := func(a logic.Atom) []int32 {
+		var out []int32
+		for _, v := range a.Vars() {
+			id, ok := ids[v]
+			if !ok {
+				id = int32(len(ids))
+				ids[v] = id
+			}
+			out = append(out, id)
+		}
+		return out
 	}
-	for _, ok := range logic.HeadConnected(c) {
-		if !ok {
-			return false
+	hc := &headConn{headVars: number(bottom.Head), litVars: make([][]int32, len(bottom.Body))}
+	for i, a := range bottom.Body {
+		hc.litVars[i] = number(a)
+	}
+	hc.reach = make([]bool, len(ids))
+	return hc
+}
+
+// connected reports whether every picked literal is connected to the head
+// through the picked subset: logic.HeadConnected holds for every body
+// literal of the clause the picks build.
+func (hc *headConn) connected(picks []int) bool {
+	clear(hc.reach)
+	for _, v := range hc.headVars {
+		hc.reach[v] = true
+	}
+	if cap(hc.done) < len(picks) {
+		hc.done = make([]bool, len(picks))
+	}
+	hc.done = hc.done[:len(picks)]
+	clear(hc.done)
+	left := len(picks)
+	for changed := true; changed && left > 0; {
+		changed = false
+		for i, k := range picks {
+			if hc.done[i] {
+				continue
+			}
+			vars := hc.litVars[k]
+			touches := len(vars) == 0
+			for _, v := range vars {
+				if hc.reach[v] {
+					touches = true
+					break
+				}
+			}
+			if !touches {
+				continue
+			}
+			hc.done[i], changed = true, true
+			left--
+			for _, v := range vars {
+				hc.reach[v] = true
+			}
 		}
 	}
-	return true
+	return left == 0
 }

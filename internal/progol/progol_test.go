@@ -1,7 +1,10 @@
 package progol
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/ilp"
 	"repro/internal/logic"
@@ -162,5 +165,77 @@ func TestStateKeyDistinguishes(t *testing.T) {
 	}
 	if a.key() != c.key() {
 		t.Error("equal picks differ in key")
+	}
+}
+
+// headConnQuick is a random bottom clause with a random sorted pick set
+// over its body, for the headConn property.
+type headConnQuick struct {
+	bottom *logic.Clause
+	picks  []int
+}
+
+func (headConnQuick) Generate(r *rand.Rand, _ int) reflect.Value {
+	vars := []string{"A", "B", "C", "D", "E", "F"}
+	term := func() logic.Term {
+		if r.Intn(5) == 0 {
+			return logic.Const("k")
+		}
+		return logic.Var(vars[r.Intn(len(vars))])
+	}
+	atom := func(pred string) logic.Atom {
+		args := make([]logic.Term, 1+r.Intn(3))
+		for i := range args {
+			args[i] = term()
+		}
+		return logic.NewAtom(pred, args...)
+	}
+	bottom := &logic.Clause{Head: atom("t")}
+	for i := r.Intn(8); i > 0; i-- {
+		bottom.Body = append(bottom.Body, atom("p"))
+	}
+	var picks []int
+	for k := range bottom.Body {
+		if r.Intn(2) == 0 {
+			picks = append(picks, k)
+		}
+	}
+	return reflect.ValueOf(headConnQuick{bottom: bottom, picks: picks})
+}
+
+// TestQuickHeadConnAgreesWithHeadConnected: the scratch-based check gives
+// logic.HeadConnected's verdict on the clause the picks build, across
+// repeated calls on one headConn (the scratch must not leak between
+// pick sets), and it allocates nothing once warm.
+func TestQuickHeadConnAgreesWithHeadConnected(t *testing.T) {
+	f := func(q headConnQuick) bool {
+		c := &logic.Clause{Head: q.bottom.Head}
+		for _, k := range q.picks {
+			c.Body = append(c.Body, q.bottom.Body[k])
+		}
+		want := true
+		for _, ok := range logic.HeadConnected(c) {
+			want = want && ok
+		}
+		hc := newHeadConn(q.bottom)
+		all := make([]int, len(q.bottom.Body))
+		for k := range all {
+			all[k] = k
+		}
+		hc.connected(all)
+		return hc.connected(q.picks) == want && hc.connected(q.picks) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+
+	bottom := logic.MustParseClause("t(A) :- p(A,B), p(B,C), p(C,D), p(E,F).")
+	hc := newHeadConn(bottom)
+	picks := []int{0, 1, 2}
+	if allocs := testing.AllocsPerRun(100, func() { hc.connected(picks) }); allocs != 0 {
+		t.Fatalf("headConn.connected: %v allocs per call, want 0", allocs)
+	}
+	if !hc.connected(picks) || hc.connected([]int{0, 3}) {
+		t.Fatalf("headConn.connected misjudges the fixed chain")
 	}
 }

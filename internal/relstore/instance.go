@@ -88,6 +88,9 @@ func newInstance(schema *Schema, indexed bool) *Instance {
 		indexed: indexed,
 	}
 	for _, r := range schema.Relations() {
+		// Relation names share the constants' symbol space, so compiled
+		// clauses over this instance name predicates by id too.
+		inst.syms.Intern(r.Name)
 		inst.tables[r.Name] = newTable(r, inst.syms, indexed)
 	}
 	return inst
@@ -96,7 +99,8 @@ func newInstance(schema *Schema, indexed bool) *Instance {
 // Schema returns the instance's schema.
 func (i *Instance) Schema() *Schema { return i.schema }
 
-// Symbols returns the instance's shared constant-interning table. Reads
+// Symbols returns the instance's shared symbol table: every constant and
+// relation name, interned when the instance is built and loaded. Reads
 // (Lookup/Name) are safe concurrently once loading is done; interning new
 // symbols is the single-writer load path only.
 func (i *Instance) Symbols() *logic.Symbols { return i.syms }

@@ -1,7 +1,9 @@
 package subsume
 
 import (
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -9,24 +11,31 @@ import (
 
 // Compiled is a target clause in compile-once/match-many form, the
 // substitute for Resumer2's clause compilation: the clause is skolemized
-// and interned once (variables become reserved constants, names become
-// int32 symbol ids), body literals are indexed by predicate and by
-// (predicate, argument position, constant), and every later probe matches
-// a source clause against the integer form with slot-indexed substitutions
-// and incremental candidate domains. One compilation serves thousands of
-// coverage probes; Compile itself costs about what a single probe used to.
+// and interned once into a symbol space (variables become reserved
+// constants, names become int32 ids), body literals are indexed by
+// predicate and by (predicate, argument position, constant), and every
+// later probe matches a prepared Source against the integer form. Names
+// the space lacks (skolemized variables, example constants absent from
+// the store) get ids from a range reserved above it and local to this
+// Compiled, which keeps their names for witnesses.
 //
 // A Compiled is immutable after construction and safe for concurrent
-// probes.
+// probes. Its space must not grow while it is in use.
 type Compiled struct {
-	syms     *logic.Symbols
-	hasHead  bool
-	headPred int32
-	headArgs []int32
-	lits     []targetLit
-	byPred   map[int32][]int32
-	byArg    map[argKey][]int32
+	space      *logic.Symbols   // shared symbol space; nil keeps every name local
+	local      map[string]int32 // names the space lacks → ids from localSym0 up
+	localNames []string
+	hasHead    bool
+	headPred   int32
+	headArgs   []int32
+	lits       []targetLit
+	byPred     map[int32][]int32
+	byArg      map[argKey][]int32
 }
+
+// localSym0 is the first id of the range a Compiled reserves for the names
+// its symbol space lacks; shared-space ids stay far below it.
+const localSym0 int32 = 1 << 30
 
 // targetLit is one ground (skolemized) target literal.
 type targetLit struct {
@@ -42,34 +51,71 @@ type argKey struct {
 	sym  int32
 }
 
-// Compile builds the match-many form of a full clause (head and body).
-func Compile(d *logic.Clause) *Compiled {
-	cd := newCompiled(len(d.Body))
-	cd.hasHead = true
-	cd.headPred, cd.headArgs = cd.internTarget(d.Head)
-	for _, a := range d.Body {
-		cd.addTarget(a)
-	}
-	return cd
+// Compile builds the match-many form of a full clause (head and body) in a
+// private symbol space.
+func Compile(d *logic.Clause) *Compiled { return CompileIn(nil, d) }
+
+// CompileIn builds the match-many form of a full clause in the given
+// symbol space (nil: a private one). Sources prepared in the same space
+// probe it without resolving names.
+func CompileIn(space *logic.Symbols, d *logic.Clause) *Compiled {
+	return compile(space, &d.Head, d.Body)
 }
 
 // CompileBody builds the match-many form of a headless body (the
-// SubsumesBody target shape).
-func CompileBody(body []logic.Atom) *Compiled {
-	cd := newCompiled(len(body))
+// SubsumesBody target shape) in a private symbol space.
+func CompileBody(body []logic.Atom) *Compiled { return compile(nil, nil, body) }
+
+func compile(space *logic.Symbols, head *logic.Atom, body []logic.Atom) *Compiled {
+	cd := &Compiled{
+		space:  space,
+		local:  make(map[string]int32),
+		lits:   make([]targetLit, 0, len(body)),
+		byPred: make(map[int32][]int32),
+		byArg:  make(map[argKey][]int32, len(body)*2),
+	}
+	if head != nil {
+		cd.hasHead = true
+		cd.headPred, cd.headArgs = cd.internTarget(*head)
+	}
 	for _, a := range body {
 		cd.addTarget(a)
 	}
 	return cd
 }
 
-func newCompiled(nlits int) *Compiled {
-	return &Compiled{
-		syms:   logic.NewSymbols(),
-		lits:   make([]targetLit, 0, nlits),
-		byPred: make(map[int32][]int32),
-		byArg:  make(map[argKey][]int32, nlits*2),
+// intern returns the id of a target name: its shared-space id, or the
+// next local one.
+func (cd *Compiled) intern(name string) int32 {
+	if id := cd.lookup(name); id != logic.UnknownSym {
+		return id
 	}
+	id := localSym0 + int32(len(cd.localNames))
+	cd.local[name] = id
+	cd.localNames = append(cd.localNames, name)
+	return id
+}
+
+// lookup resolves a name to its id in this target without interning it;
+// UnknownSym for names neither the target nor its space holds.
+func (cd *Compiled) lookup(name string) int32 {
+	if id, ok := cd.local[name]; ok {
+		return id
+	}
+	if cd.space != nil {
+		if id, ok := cd.space.Lookup(name); ok {
+			return id
+		}
+	}
+	return logic.UnknownSym
+}
+
+// name is the inverse of intern.
+func (cd *Compiled) name(sym int32) string {
+	if sym >= localSym0 {
+		return cd.localNames[sym-localSym0]
+	}
+	return cd.space.Name(sym)
 }
 
 // internTarget interns one target atom, skolemizing variables: each target
@@ -80,12 +126,12 @@ func (cd *Compiled) internTarget(a logic.Atom) (int32, []int32) {
 	args := make([]int32, len(a.Args))
 	for i, t := range a.Args {
 		if t.IsVar {
-			args[i] = cd.syms.Intern(skolemPrefix + t.Name)
+			args[i] = cd.intern(skolemPrefix + t.Name)
 		} else {
-			args[i] = cd.syms.Intern(t.Name)
+			args[i] = cd.intern(t.Name)
 		}
 	}
-	return cd.syms.Intern(a.Pred), args
+	return cd.intern(a.Pred), args
 }
 
 func (cd *Compiled) addTarget(a logic.Atom) {
@@ -106,13 +152,7 @@ func (cd *Compiled) Len() int { return len(cd.lits) }
 // substitution maps c's head to the target head and every body literal of
 // c to a target body literal.
 func (cd *Compiled) Subsumes(c *logic.Clause) bool {
-	return cd.SubsumesR(nil, c)
-}
-
-// SubsumesR is Subsumes reporting engine calls, backtracking nodes and
-// budget exhaustions into the run (nil observes nothing).
-func (cd *Compiled) SubsumesR(run *obs.Run, c *logic.Clause) bool {
-	return cd.match(run, &c.Head, c.Body, nil)
+	return cd.Probe(nil, Prepare(cd.space, c))
 }
 
 // SubsumesBody reports whether cBody maps into the compiled target body
@@ -120,13 +160,7 @@ func (cd *Compiled) SubsumesR(run *obs.Run, c *logic.Clause) bool {
 // onto constants (coverage tests bind onto ground bottom clauses,
 // satisfying this); aliases var→var act as shared free variables.
 func (cd *Compiled) SubsumesBody(cBody []logic.Atom, init logic.Substitution) bool {
-	return cd.SubsumesBodyR(nil, cBody, init)
-}
-
-// SubsumesBodyR is SubsumesBody reporting into the run (nil observes
-// nothing).
-func (cd *Compiled) SubsumesBodyR(run *obs.Run, cBody []logic.Atom, init logic.Substitution) bool {
-	return cd.match(run, nil, cBody, init)
+	return cd.Probe(nil, PrepareBody(cd.space, cBody, init))
 }
 
 // Witness is Subsumes returning the witnessing substitution: the mapping
@@ -136,53 +170,203 @@ func (cd *Compiled) SubsumesBodyR(run *obs.Run, cBody []logic.Atom, init logic.S
 // second return is false — and the substitution nil — when c does not
 // subsume the target.
 func (cd *Compiled) Witness(c *logic.Clause) (logic.Substitution, bool) {
-	m := &matcher{cd: cd, nodes: matchBudget}
-	if !m.run(&c.Head, c.Body, nil) {
-		return nil, false
-	}
-	return m.witness(), true
+	return cd.witness(Prepare(cd.space, c))
 }
 
 // WitnessBody is SubsumesBody returning the witnessing substitution for
 // the source body's variables (init entries are not repeated in it).
 func (cd *Compiled) WitnessBody(cBody []logic.Atom, init logic.Substitution) (logic.Substitution, bool) {
-	m := &matcher{cd: cd, nodes: matchBudget}
-	if !m.run(nil, cBody, init) {
-		return nil, false
-	}
-	return m.witness(), true
+	return cd.witness(PrepareBody(cd.space, cBody, init))
 }
 
-// witness externalizes the final substitution of a successful match.
-func (m *matcher) witness() logic.Substitution {
-	out := make(logic.Substitution, m.vars.Len())
-	for slot := int32(0); slot < int32(m.vars.Len()); slot++ {
-		sym, bound := m.subst.Value(slot)
+func (cd *Compiled) witness(src *Source) (logic.Substitution, bool) {
+	m := acquire(cd, src, nil)
+	defer m.release()
+	if !m.run() {
+		return nil, false
+	}
+	out := make(logic.Substitution, len(src.vars))
+	for slot, v := range src.vars {
+		sym, bound := m.subst.Value(int32(slot))
 		if !bound {
 			continue
 		}
-		name := m.cd.syms.Name(sym)
-		if strings.HasPrefix(name, skolemPrefix) {
-			out[m.vars.Name(slot)] = logic.Var(name[len(skolemPrefix):])
+		if name := cd.name(sym); strings.HasPrefix(name, skolemPrefix) {
+			out[v] = logic.Var(name[len(skolemPrefix):])
 		} else {
-			out[m.vars.Name(slot)] = logic.Const(name)
+			out[v] = logic.Const(name)
 		}
+	}
+	return out, true
+}
+
+// Source is a probe clause interned once, to be matched against any
+// number of compiled targets; coverage testing prepares each candidate
+// once per example list. What depends only on the clause is computed here
+// — interned literals, variable occurrences, variable-connected
+// components — so a probe only searches. Terms and predicates name
+// symbols by index into names. A Source is immutable and safe for
+// concurrent probes.
+type Source struct {
+	space   *logic.Symbols
+	hasHead bool
+	head    logic.IAtom
+	lits    []logic.IAtom
+	names   []string     // name index → predicate or constant name
+	ids     []int32      // name index → id in space, UnknownSym when absent
+	missing bool         // some name is absent from space
+	vars    []string     // slot → variable name
+	occ     [][]occEntry // slot → occurrences in the body
+	comps   [][]int32    // body literal indexes by component
+}
+
+// occEntry is one occurrence of a variable slot in the source body.
+type occEntry struct {
+	lit int32
+	pos int32
+}
+
+// Prepare interns clause c (head and body) for probing targets compiled
+// in space.
+func Prepare(space *logic.Symbols, c *logic.Clause) *Source {
+	return prepare(space, &c.Head, c.Body, nil)
+}
+
+// PrepareBody interns a headless body for probing, resolving its terms
+// through init first (the SubsumesBody source shape).
+func PrepareBody(space *logic.Symbols, body []logic.Atom, init logic.Substitution) *Source {
+	return prepare(space, nil, body, init)
+}
+
+func prepare(space *logic.Symbols, head *logic.Atom, body []logic.Atom, init logic.Substitution) *Source {
+	src := &Source{space: space, lits: make([]logic.IAtom, len(body))}
+	index, slots := make(map[string]int32), make(map[string]int32)
+	slot := func(v string) int32 {
+		k, ok := slots[v]
+		if !ok {
+			k = int32(len(src.vars))
+			slots[v] = k
+			src.vars = append(src.vars, v)
+		}
+		return k
+	}
+	name := func(s string) int32 {
+		k, ok := index[s]
+		if !ok {
+			k = int32(len(src.names))
+			index[s] = k
+			id, found := logic.UnknownSym, false
+			if space != nil {
+				id, found = space.Lookup(s)
+			}
+			if !found {
+				id, src.missing = logic.UnknownSym, true
+			}
+			src.names = append(src.names, s)
+			src.ids = append(src.ids, id)
+		}
+		return k
+	}
+	atom := func(a logic.Atom) logic.IAtom {
+		args := make([]logic.ITerm, len(a.Args))
+		for i, t := range a.Args {
+			if t = init.Resolve(t); t.IsVar {
+				args[i] = logic.VarITerm(slot(t.Name))
+			} else {
+				args[i] = logic.ConstITerm(name(t.Name))
+			}
+		}
+		return logic.IAtom{Pred: name(a.Pred), Args: args}
+	}
+	if head != nil {
+		src.hasHead, src.head = true, atom(*head)
+	}
+	for i, a := range body {
+		src.lits[i] = atom(a)
+	}
+	src.occ = make([][]occEntry, len(src.vars))
+	for i, lit := range src.lits {
+		for p, t := range lit.Args {
+			if t.IsVar() {
+				src.occ[t.Slot()] = append(src.occ[t.Slot()], occEntry{lit: int32(i), pos: int32(p)})
+			}
+		}
+	}
+	src.comps = src.components()
+	return src
+}
+
+// components partitions the body literal indexes into groups connected by
+// variables the head leaves unbound (a probe's head match binds every head
+// variable, so the grouping is known before any probe). Components are
+// independent subproblems: they share no unbound variable, so one
+// exponential search becomes several much smaller ones. Groups are
+// ordered by their first literal, literals ascending within each.
+func (src *Source) components() [][]int32 {
+	bound := make([]bool, len(src.vars))
+	if src.hasHead {
+		for _, t := range src.head.Args {
+			if t.IsVar() {
+				bound[t.Slot()] = true
+			}
+		}
+	}
+	var out [][]int32
+	seen := make([]bool, len(src.lits))
+	flat := make([]int32, 0, len(src.lits)) // components are windows of it
+	for i := range src.lits {
+		if seen[i] {
+			continue
+		}
+		seen[i] = true
+		start := len(flat)
+		flat = append(flat, int32(i))
+		for k := start; k < len(flat); k++ {
+			for _, t := range src.lits[flat[k]].Args {
+				if !t.IsVar() || bound[t.Slot()] {
+					continue
+				}
+				for _, oc := range src.occ[t.Slot()] {
+					if !seen[oc.lit] {
+						seen[oc.lit] = true
+						flat = append(flat, oc.lit)
+					}
+				}
+			}
+		}
+		comp := flat[start:len(flat):len(flat)]
+		slices.Sort(comp)
+		out = append(out, comp)
 	}
 	return out
 }
 
-// matcher is the per-probe search state of one compiled match: interned
-// source literals, a slot-indexed substitution with a trail, and one live
+// Probe reports whether the prepared source θ-subsumes the compiled
+// target, reporting engine calls, backtracking nodes and budget
+// exhaustions into the run (nil observes nothing). The search state comes
+// from a pool and is reset between probes, so a steady-state probe does
+// not allocate.
+func (cd *Compiled) Probe(run *obs.Run, src *Source) bool {
+	m := acquire(cd, src, run)
+	ok := m.run()
+	m.report(run)
+	m.release()
+	return ok
+}
+
+// matcher is the search state of one probe: the source's names resolved
+// to target ids, a slot-indexed substitution with a trail, and one live
 // candidate domain per open source literal, narrowed on bind and restored
-// from the domain trail on backtrack.
+// from the domain trail on backtrack. Its slices outlive the probe: the
+// pool hands them to the next one.
 type matcher struct {
 	cd        *Compiled
-	vars      *logic.VarSlots
-	lits      []logic.IAtom
-	subst     *logic.Subst
-	occ       [][]occEntry // slot → occurrences in source body
-	doms      [][]int32    // per literal: candidate target indexes, swap-partitioned
-	live      []int32      // per literal: length of the live domain prefix
+	src       *Source
+	sym       []int32 // name index → target id for this probe
+	symBuf    []int32
+	subst     logic.Subst
+	doms      [][]int32 // per literal: candidate target indexes, swap-partitioned
+	live      []int32   // per literal: length of the live domain prefix
 	domTrail  []domSave
 	matched   []bool
 	open      []int32
@@ -193,12 +377,6 @@ type matcher struct {
 	obsRun *obs.Run
 }
 
-// occEntry is one occurrence of a variable slot in the source body.
-type occEntry struct {
-	lit int32
-	pos int32
-}
-
 // domSave is one domain-narrowing trail entry; undoing restores the live
 // length, which resurrects exactly the candidates swapped past it.
 type domSave struct {
@@ -206,15 +384,54 @@ type domSave struct {
 	oldLive int32
 }
 
-// match runs one probe: intern the source (resolving through init), match
-// the heads when the target has one, split the body into components
-// connected by unbound variables, and search each component with forward
-// pruning over incremental domains.
-func (cd *Compiled) match(run *obs.Run, head *logic.Atom, body []logic.Atom, init logic.Substitution) bool {
-	m := &matcher{cd: cd, nodes: matchBudget, obsRun: run}
-	ok := m.run(head, body, init)
-	m.report(run)
-	return ok
+var matchers = sync.Pool{New: func() any { return new(matcher) }}
+
+// acquire takes a matcher from the pool and resets it for one probe of
+// src against cd.
+func acquire(cd *Compiled, src *Source, run *obs.Run) *matcher {
+	m := matchers.Get().(*matcher)
+	m.cd, m.src, m.obsRun = cd, src, run
+	m.nodes, m.exhausted = matchBudget, false
+	m.resolve()
+	m.subst.Reset(len(src.vars))
+	n := len(src.lits)
+	m.doms = resize(m.doms, n)
+	m.live = resize(m.live, n)
+	m.matched = resize(m.matched, n)
+	clear(m.matched)
+	m.domTrail = m.domTrail[:0]
+	return m
+}
+
+// release returns the matcher to the pool, dropping its references to the
+// probe's clauses.
+func (m *matcher) release() {
+	m.cd, m.src, m.obsRun, m.sym = nil, nil, nil, nil
+	matchers.Put(m)
+}
+
+// resize returns s with length n, reusing its storage when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// resolve maps the source's names to target ids. A source prepared in the
+// target's own space already carries them, unless it names something the
+// space lacks; then, as for a source from another space, every name
+// resolves through the target by string.
+func (m *matcher) resolve() {
+	if m.src.space == m.cd.space && !m.src.missing {
+		m.sym = m.src.ids
+		return
+	}
+	m.symBuf = m.symBuf[:0]
+	for _, name := range m.src.names {
+		m.symBuf = append(m.symBuf, m.cd.lookup(name))
+	}
+	m.sym = m.symBuf
 }
 
 // report flushes the engine-call, node and budget-exhaustion counts of one
@@ -229,47 +446,19 @@ func (m *matcher) report(run *obs.Run) {
 	run.Add(obs.CSubsumptionNodes, int64(used))
 }
 
-func (m *matcher) run(head *logic.Atom, body []logic.Atom, init logic.Substitution) bool {
-	vars := logic.NewVarSlots()
-	m.vars = vars
-	var headLit logic.IAtom
-	if head != nil {
-		hl, ok := m.internSource(*head, vars, init)
-		if !ok {
-			return false // head predicate absent from the target
-		}
-		headLit = hl
-	}
-	m.lits = make([]logic.IAtom, len(body))
-	for i, a := range body {
-		lit, ok := m.internSource(a, vars, init)
-		if !ok {
+// run matches the heads when the target has one, then searches each
+// component with forward pruning over incremental domains.
+func (m *matcher) run() bool {
+	src := m.src
+	for _, lit := range src.lits {
+		if _, ok := m.cd.byPred[m.sym[lit.Pred]]; !ok {
 			return false // predicate absent: the literal has no candidates
 		}
-		m.lits[i] = lit
 	}
-	m.subst = logic.NewSubst(vars.Len())
-	if head != nil && !m.matchHead(headLit) {
+	if src.hasHead && !m.matchHead() {
 		return false
 	}
-	n := len(m.lits)
-	if n == 0 {
-		return true
-	}
-	m.occ = make([][]occEntry, vars.Len())
-	for i, lit := range m.lits {
-		for p, t := range lit.Args {
-			if t.IsVar() {
-				s := t.Slot()
-				m.occ[s] = append(m.occ[s], occEntry{lit: int32(i), pos: int32(p)})
-			}
-		}
-	}
-	m.doms = make([][]int32, n)
-	m.live = make([]int32, n)
-	m.matched = make([]bool, n)
-	m.open = make([]int32, 0, n)
-	for _, comp := range m.components() {
+	for _, comp := range src.comps {
 		if !m.matchComponent(comp) {
 			return false
 		}
@@ -277,34 +466,11 @@ func (m *matcher) run(head *logic.Atom, body []logic.Atom, init logic.Substituti
 	return true
 }
 
-// internSource interns one source atom against the compiled target's
-// symbol table, resolving terms through init first. Constants the target
-// never mentions become UnknownSym terms (they fail every comparison);
-// a predicate the target never mentions fails the whole probe, which the
-// false return signals.
-func (m *matcher) internSource(a logic.Atom, vars *logic.VarSlots, init logic.Substitution) (logic.IAtom, bool) {
-	pred, ok := m.cd.syms.Lookup(a.Pred)
-	if !ok {
-		return logic.IAtom{}, false
-	}
-	args := make([]logic.ITerm, len(a.Args))
-	for i, t := range a.Args {
-		t = init.Resolve(t)
-		if t.IsVar {
-			args[i] = logic.VarITerm(vars.Slot(t.Name))
-		} else if sym, known := m.cd.syms.Lookup(t.Name); known {
-			args[i] = logic.ConstITerm(sym)
-		} else {
-			args[i] = logic.ConstITerm(logic.UnknownSym)
-		}
-	}
-	return logic.IAtom{Pred: pred, Args: args}, true
-}
-
 // matchHead extends the substitution so the source head maps onto the
 // (skolemized, ground) target head.
-func (m *matcher) matchHead(head logic.IAtom) bool {
-	if !m.cd.hasHead || head.Pred != m.cd.headPred || len(head.Args) != len(m.cd.headArgs) {
+func (m *matcher) matchHead() bool {
+	head := m.src.head
+	if !m.cd.hasHead || m.sym[head.Pred] != m.cd.headPred || len(head.Args) != len(m.cd.headArgs) {
 		return false
 	}
 	for i, t := range head.Args {
@@ -320,65 +486,11 @@ func (m *matcher) matchHead(head logic.IAtom) bool {
 			m.subst.Bind(slot, want)
 			continue
 		}
-		if t.Sym() != want {
+		if m.sym[t.Sym()] != want {
 			return false
 		}
 	}
 	return true
-}
-
-// components partitions the source literal indexes into groups connected
-// by variables unbound in the current substitution. Components are
-// independent subproblems: they share no unbound variable, so one
-// exponential search becomes several much smaller ones.
-func (m *matcher) components() [][]int32 {
-	n := len(m.lits)
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	slotOwner := make([]int32, m.subst.Slots())
-	for i := range slotOwner {
-		slotOwner[i] = -1
-	}
-	for i, lit := range m.lits {
-		for _, t := range lit.Args {
-			if !t.IsVar() {
-				continue
-			}
-			s := t.Slot()
-			if _, bound := m.subst.Value(s); bound {
-				continue // bound variables do not connect literals
-			}
-			if o := slotOwner[s]; o >= 0 {
-				parent[find(int32(i))] = find(o)
-			} else {
-				slotOwner[s] = int32(i)
-			}
-		}
-	}
-	groups := make(map[int32][]int32, n)
-	var order []int32
-	for i := range m.lits {
-		r := find(int32(i))
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], int32(i))
-	}
-	out := make([][]int32, 0, len(order))
-	for _, r := range order {
-		out = append(out, groups[r])
-	}
-	return out
 }
 
 // matchComponent initializes the candidate domains of one component's
@@ -403,8 +515,9 @@ func (m *matcher) matchComponent(comp []int32) bool {
 // must agree positionally, repeated unbound variables must meet equal
 // target constants.
 func (m *matcher) initDomain(i int32) bool {
-	lit := m.lits[i]
-	cand := m.cd.byPred[lit.Pred]
+	lit := m.src.lits[i]
+	pred := m.sym[lit.Pred]
+	cand := m.cd.byPred[pred]
 	for pos, t := range lit.Args {
 		sym, known := int32(0), false
 		if t.IsVar() {
@@ -412,7 +525,7 @@ func (m *matcher) initDomain(i int32) bool {
 				sym, known = v, true
 			}
 		} else {
-			sym, known = t.Sym(), true
+			sym, known = m.sym[t.Sym()], true
 		}
 		if !known {
 			continue
@@ -421,11 +534,11 @@ func (m *matcher) initDomain(i int32) bool {
 			cand = nil // unknown constant: no target argument can equal it
 			break
 		}
-		if l := m.cd.byArg[argKey{pred: lit.Pred, pos: int32(pos), sym: sym}]; len(l) < len(cand) {
+		if l := m.cd.byArg[argKey{pred: pred, pos: int32(pos), sym: sym}]; len(l) < len(cand) {
 			cand = l
 		}
 	}
-	dom := make([]int32, 0, len(cand))
+	dom := m.doms[i][:0]
 	for _, t := range cand {
 		if m.consistent(lit, t) {
 			dom = append(dom, t)
@@ -460,7 +573,7 @@ func (m *matcher) consistent(lit logic.IAtom, t int32) bool {
 			}
 			continue
 		}
-		if tgt.args[p] != st.Sym() {
+		if tgt.args[p] != m.sym[st.Sym()] {
 			return false
 		}
 	}
@@ -519,7 +632,7 @@ func (m *matcher) search(openCount int) bool {
 // failure mode is a neighbour's domain emptying.
 func (m *matcher) assign(i, t int32) bool {
 	tgt := m.cd.lits[t]
-	for p, st := range m.lits[i].Args {
+	for p, st := range m.src.lits[i].Args {
 		if !st.IsVar() {
 			continue
 		}
@@ -540,7 +653,7 @@ func (m *matcher) assign(i, t int32) bool {
 // arc-consistency-style pruning that replaces per-node candidate
 // re-counting. Emptied domains fail the assignment immediately.
 func (m *matcher) propagate(slot, sym int32) bool {
-	for _, oc := range m.occ[slot] {
+	for _, oc := range m.src.occ[slot] {
 		if m.matched[oc.lit] {
 			continue
 		}

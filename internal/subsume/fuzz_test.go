@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzSubsumesBodyOracle cross-checks the backtracking matcher against a
-// brute-force oracle that enumerates every literal-to-literal assignment.
+// brute-force oracle that enumerates every literal-to-literal assignment,
+// and the prepared-source probe against the pre-change matcher.
 // Bodies are decoded from the fuzz input over a tiny vocabulary (three
 // predicates, three variables, three constants) and capped at 4 and 5
 // literals, so the oracle stays exhaustive and the matcher's node budget
@@ -142,6 +143,12 @@ func FuzzSubsumesBodyOracle(f *testing.F) {
 		want := oracleSubsumesBody(cBody, dBody)
 		if got != want {
 			t.Fatalf("SubsumesBody=%v oracle=%v\nc: %v\nd: %v", got, want, cBody, dBody)
+		}
+		// The prepared-source probe reproduces the pre-change matcher's
+		// answer, witness and node count.
+		ok, w, n := legacyCompileBody(dBody).probe(nil, cBody, nil)
+		if p := probeOutcome(CompileBody(dBody), PrepareBody(nil, cBody, nil)); !p.matches(ok, w, n) {
+			t.Fatalf("prepared probe %+v, pre-change %v %v %d\nc: %v\nd: %v", p, ok, w, n, cBody, dBody)
 		}
 	})
 }

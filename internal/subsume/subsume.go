@@ -10,13 +10,17 @@
 // (operator ≡) is built on.
 //
 // The engine substitutes for the Resumer2 system the paper uses: targets
-// are compiled once (Compile/CompileBody — skolemized, interned, indexed
-// by predicate and argument-position constants) and probed many times by
-// a backtracking CSP matcher with decomposition into variable-connected
+// are compiled once (CompileIn — skolemized, interned, indexed by
+// predicate and argument-position constants) and probed many times by a
+// backtracking CSP matcher with decomposition into variable-connected
 // components, dynamic most-constrained-literal selection, and incremental
 // candidate domains narrowed on bind and restored from a trail on
-// backtrack. The one-shot entry points below compile and probe in one
-// call; coverage testing caches the compilation per bottom clause.
+// backtrack. Coverage testing compiles every example's bottom clause and
+// prepares every candidate (Prepare) in one symbol space, the instance's,
+// so a probe compares integer ids as they are; each probe takes its
+// search state from a pool and resets it, so a steady-state probe does
+// not allocate. The one-shot entry points below compile, prepare and
+// probe in one call, in a private space.
 package subsume
 
 import (
@@ -34,7 +38,7 @@ func Subsumes(c, d *logic.Clause) bool {
 // SubsumesR is Subsumes reporting engine calls and backtracking nodes into
 // the run (nil observes nothing).
 func SubsumesR(run *obs.Run, c, d *logic.Clause) bool {
-	return Compile(d).SubsumesR(run, c)
+	return Compile(d).Probe(run, Prepare(nil, c))
 }
 
 // SubsumesBody reports whether the body of c maps into the body of d under
@@ -49,7 +53,7 @@ func SubsumesBody(cBody, dBody []logic.Atom, init logic.Substitution) bool {
 // SubsumesBodyR is SubsumesBody reporting into the run (nil observes
 // nothing).
 func SubsumesBodyR(run *obs.Run, cBody, dBody []logic.Atom, init logic.Substitution) bool {
-	return CompileBody(dBody).SubsumesBodyR(run, cBody, init)
+	return CompileBody(dBody).Probe(run, PrepareBody(nil, cBody, init))
 }
 
 // skolemPrefix marks constants standing in for target-clause variables. The
