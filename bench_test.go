@@ -374,6 +374,48 @@ func TestSubsumptionProbeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDirectProbeZeroAlloc pins the direct coverage probe at zero
+// allocations: a prepared query probing covered, uncovered and
+// unknown-constant examples — through a multi-column lookup that filters
+// into the solver's row buffers — allocates nothing in steady state,
+// unobserved and with a registry run.
+func TestDirectProbeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled solvers at random")
+	}
+	s := relstore.NewSchema()
+	s.MustAddRelation("publication", "title", "person")
+	s.MustAddRelation("professor", "person")
+	inst := relstore.NewInstance(s)
+	for k := 0; k < 400; k++ {
+		inst.MustInsert("publication", fmt.Sprintf("t%d", k%90), fmt.Sprintf("p%d", k%37))
+	}
+	inst.MustInsert("professor", "p17")
+	inst.Freeze()
+	q := inst.Prepare(logic.MustParseClause("collab(X, Y) :- publication(P, X), publication(P, Y), professor(Y)."))
+	cases := []struct {
+		name string
+		e    logic.Atom
+		want bool
+	}{
+		{"covered", logic.GroundAtom("collab", "p33", "p17"), true},
+		{"uncovered", logic.GroundAtom("collab", "p3", "p4"), false},
+		{"unknown constant", logic.GroundAtom("collab", "nobody", "p17"), false},
+	}
+	for _, run := range []*obs.Run{nil, obs.NewRun(nil, obs.NewRegistry())} {
+		inst.SetObs(run)
+		for _, tc := range cases {
+			if got := q.Covers(tc.e); got != tc.want {
+				t.Fatalf("%s: got %v, want %v", tc.name, got, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { q.Covers(tc.e) }); allocs != 0 {
+				t.Errorf("%s (registry run %v): %v allocs per probe, want 0", tc.name, run != nil, allocs)
+			}
+		}
+	}
+	inst.SetObs(nil)
+}
+
 // BenchmarkSubsumption measures the θ-subsumption engine itself on the
 // shapes above, reporting backtracking nodes per op. The oneshot variants
 // pay target compilation and source preparation every call (the engine's

@@ -1,6 +1,9 @@
 // Package eval provides the evaluation metrics and cross-validation
 // harness of §9.1.3: precision and recall of learned definitions over held
-// out test examples, averaged over k folds.
+// out test examples, averaged over k folds. Coverage of a test example is
+// the direct conjunctive-query test of Definition 3.1: each clause of the
+// definition is prepared once against the instance as a relstore.Query
+// and probed with every example.
 package eval
 
 import (
@@ -20,17 +23,32 @@ type Metrics struct {
 }
 
 // Evaluate scores a definition against labeled examples on the instance.
+// Each clause is prepared once (relstore.Query) and probed per example.
 func Evaluate(inst *relstore.Instance, def *logic.Definition, pos, neg []logic.Atom) Metrics {
+	var qs []*relstore.Query
+	if def != nil {
+		for _, c := range def.Clauses {
+			qs = append(qs, inst.Prepare(c))
+		}
+	}
+	covers := func(e logic.Atom) bool {
+		for _, q := range qs {
+			if q.Covers(e) {
+				return true
+			}
+		}
+		return false
+	}
 	var m Metrics
 	for _, e := range pos {
-		if def != nil && inst.DefinitionCovers(def, e) {
+		if covers(e) {
 			m.TP++
 		} else {
 			m.FN++
 		}
 	}
 	for _, e := range neg {
-		if def != nil && inst.DefinitionCovers(def, e) {
+		if covers(e) {
 			m.FP++
 		}
 	}

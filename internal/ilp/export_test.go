@@ -17,3 +17,6 @@ func (t *Tester) PlantImpostor(e, other logic.Atom) func() bool {
 	t.saturations.Store(e.KeyHash(logic.FNVOffset), ent)
 	return func() bool { return ent.cd.Load() == nil }
 }
+
+// ExampleCost exposes the engine's shard-sizing cost model.
+func (t *Tester) ExampleCost(e logic.Atom) int64 { return t.exampleCost(e) }

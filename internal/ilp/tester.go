@@ -8,6 +8,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/logic"
 	"repro/internal/obs"
+	"repro/internal/relstore"
 	"repro/internal/subsume"
 )
 
@@ -80,7 +81,9 @@ func NewTester(prob *Problem, params Params) *Tester {
 		cache = coverage.NewCache(0)
 	}
 	t.engine = coverage.NewEngine(t.Prober, params.Parallelism, cache, params.Obs)
-	t.engine.SetCostFn(t.exampleCost)
+	if params.CoverageMode == CoverageSubsumption {
+		t.engine.SetCostFn(t.exampleCost)
+	}
 	return t
 }
 
@@ -94,16 +97,18 @@ func (t *Tester) Run() *obs.Run { return t.run }
 func (t *Tester) Covers(c *logic.Clause, e logic.Atom) bool { return t.Prober(c)(e) }
 
 // Prober returns the coverage test of one clause, the engine's CoverFunc.
-// In subsumption mode the clause is interned once into the instance's
-// symbol space, by the first probe, so a batch's candidates are prepared
-// on the pool's workers; each example then probes its compiled ground
-// bottom clause with it. In direct mode each example evaluates the clause
-// on the store. The prober is safe for concurrent use.
+// The clause is interned once into the instance's symbol space, by the
+// first probe, so a batch's candidates are prepared on the pool's
+// workers. In subsumption mode each example then probes its compiled
+// ground bottom clause with the prepared source; in direct mode each
+// example runs the prepared conjunctive query (relstore.Query) on the
+// store. The prober is safe for concurrent use.
 func (t *Tester) Prober(c *logic.Clause) func(e logic.Atom) bool {
 	if t.params.CoverageMode != CoverageSubsumption {
+		prepare := sync.OnceValue(func() *relstore.Query { return t.prob.Instance.Prepare(c) })
 		return func(e logic.Atom) bool {
 			t.run.Inc(obs.CCoverageTests)
-			return t.prob.Instance.CoversExample(c, e)
+			return prepare().Covers(e)
 		}
 	}
 	prepare := sync.OnceValue(func() *subsume.Source { return subsume.Prepare(t.prob.Instance.Symbols(), c) })
@@ -172,28 +177,21 @@ func (t *Tester) entry(e logic.Atom, create bool) (*satEntry, bool) {
 	return v.(*satEntry), loaded
 }
 
-// exampleCost is the engine's shard-sizing cost model. In subsumption
-// mode an example's probe cost tracks its compiled bottom-clause size,
-// known exactly once compiled; before that (and in direct-evaluation
-// mode) a relstore-statistics estimate stands in: average tuples scanned
-// per lookup approximates how much store work one coverage test drives.
-// The estimate only shapes shard boundaries — never results — so its
-// coarseness is harmless.
+// exampleCost is the engine's shard-sizing cost model in subsumption
+// mode (direct mode shards by uniform costs). An example's probe cost
+// tracks its compiled bottom-clause size, known exactly once compiled;
+// before that a relstore-statistics estimate stands in: average tuples
+// scanned per lookup approximates how much store work building the
+// example's bottom clause drives. The estimate only shapes shard
+// boundaries — never results — so its coarseness is harmless.
 func (t *Tester) exampleCost(e logic.Atom) int64 {
-	if t.params.CoverageMode == CoverageSubsumption {
-		if ent, ok := t.entry(e, false); ok {
-			if cd := ent.cd.Load(); cd != nil {
-				return int64(cd.Len()) + 1
-			}
+	if ent, ok := t.entry(e, false); ok {
+		if cd := ent.cd.Load(); cd != nil {
+			return int64(cd.Len()) + 1
 		}
 	}
-	var scanned, lookups int64
-	for _, st := range t.prob.Instance.StoreStats() {
-		scanned += st.TuplesScanned
-		lookups += st.Lookups
-	}
-	if lookups > 0 {
-		return scanned/lookups + 1
+	if st := t.prob.Instance.StoreTotals(); st.Lookups > 0 {
+		return st.TuplesScanned/st.Lookups + 1
 	}
 	return 1
 }

@@ -150,6 +150,38 @@ func TestSaturationLookupZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestExampleCostZeroAlloc: the subsumption-mode cost model allocates
+// nothing, both for a compiled example (its bottom-clause size) and for
+// one not yet compiled (average tuples scanned per store lookup, summed
+// over the tables without building StoreStats' map).
+func TestExampleCostZeroAlloc(t *testing.T) {
+	prob := testfix.NewWorld(6).ProblemOriginal()
+	params := ilp.Defaults()
+	params.CoverageMode = ilp.CoverageSubsumption
+	tester := ilp.NewTester(prob, params)
+	compiled, fresh := prob.Pos[0], prob.Pos[1]
+	cd := tester.SaturationOf(compiled) // saturating scans the store
+	if got, want := tester.ExampleCost(compiled), int64(cd.Len())+1; got != want {
+		t.Errorf("compiled example cost %d, want %d", got, want)
+	}
+	var scanned, lookups int64
+	for _, st := range prob.Instance.StoreStats() {
+		scanned += st.TuplesScanned
+		lookups += st.Lookups
+	}
+	if lookups == 0 {
+		t.Fatal("saturation left no store lookups")
+	}
+	if got, want := tester.ExampleCost(fresh), scanned/lookups+1; got != want {
+		t.Errorf("uncompiled example cost %d, want %d", got, want)
+	}
+	for _, e := range []logic.Atom{compiled, fresh} {
+		if allocs := testing.AllocsPerRun(100, func() { tester.ExampleCost(e) }); allocs != 0 {
+			t.Errorf("ExampleCost(%v): %v allocs, want 0", e, allocs)
+		}
+	}
+}
+
 // TestSaturationHashCollision: when another example already owns an
 // example's key hash, the example is compiled under its full key instead,
 // the other example's entry is left alone, and coverage answers match a

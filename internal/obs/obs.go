@@ -70,6 +70,11 @@ const (
 	// nonzero value here means some answers were cutoffs, not genuine
 	// failures.
 	CSubsumptionBudgetExhausted
+	// CEvalBudgetExhausted counts direct conjunctive-query evaluations cut
+	// off by the relstore's search-node budget. A cut-off coverage test
+	// reads as "not covered"; a nonzero value here means some answers were
+	// cutoffs, not genuine failures.
+	CEvalBudgetExhausted
 	// CINDChaseHops counts IND hops followed during Castor's bottom-clause
 	// construction (§7.1).
 	CINDChaseHops
@@ -138,6 +143,7 @@ var counterNames = [numCounters]string{
 	CSubsumptionCalls:           "subsumption_calls",
 	CSubsumptionNodes:           "subsumption_nodes",
 	CSubsumptionBudgetExhausted: "subsumption_budget_exhausted",
+	CEvalBudgetExhausted:        "eval_budget_exhausted",
 	CINDChaseHops:               "ind_chase_hops",
 	CTuplesScanned:              "tuples_scanned",
 	CPlanCompiles:               "plan_compiles",
@@ -171,6 +177,7 @@ var counterHelp = [numCounters]string{
 	CSubsumptionCalls:           "Top-level theta-subsumption engine calls.",
 	CSubsumptionNodes:           "Backtracking nodes explored by the subsumption engine.",
 	CSubsumptionBudgetExhausted: "Subsumption calls cut off by the node budget.",
+	CEvalBudgetExhausted:        "Direct query evaluations cut off by the node budget.",
 	CINDChaseHops:               "IND hops followed during bottom-clause construction.",
 	CTuplesScanned:              "Tuples read from the relational store.",
 	CPlanCompiles:               "Per-schema access-plan compilations.",

@@ -343,8 +343,8 @@ func (t *Table) countMatching(col int, v int32) int {
 
 // matchingRows returns the row ids holding value id v in column col, in
 // ascending order. On indexed tables this is a shared CSR subslice
-// (zero-allocation); unindexed tables scan.
-func (t *Table) matchingRows(col int, v int32) []int32 {
+// (zero-allocation); unindexed tables scan, appending to dst.
+func (t *Table) matchingRows(col int, v int32, dst []int32) []int32 {
 	if v < 0 {
 		return nil
 	}
@@ -353,20 +353,19 @@ func (t *Table) matchingRows(col int, v int32) []int32 {
 		return t.cols[col].postings(v)
 	}
 	ar := t.rel.Arity()
-	var out []int32
 	for r := 0; r < t.nrows; r++ {
 		if t.data[r*ar+col] == v {
-			out = append(out, int32(r))
+			dst = append(dst, int32(r))
 		}
 	}
-	return out
+	return dst
 }
 
 // MatchingIndexes returns the indexes of tuples whose column col holds
 // value v, ascending. On a frozen indexed table the result is a shared
 // CSR posting slice; callers must not modify it.
 func (t *Table) MatchingIndexes(col int, v string) []int32 {
-	return t.matchingRows(col, t.lookupVal(v))
+	return t.matchingRows(col, t.lookupVal(v), nil)
 }
 
 // Contains reports whether the exact tuple is present. On the frozen
@@ -509,7 +508,7 @@ func (t *Table) TuplesWith(req map[int]string) []Tuple {
 	if t.indexed {
 		t.stats.indexHits.Add(1)
 	}
-	probe := t.matchingRows(bestCol, ids[bestCol])
+	probe := t.matchingRows(bestCol, ids[bestCol], nil)
 	t.stats.scanned.Add(int64(len(probe)))
 	match := func(r int32) bool {
 		base := int(r) * ar

@@ -205,8 +205,9 @@ func TestFrozenProbesZeroAlloc(t *testing.T) {
 	// The interned point probe of the solver path borrows the CSR posting
 	// slice, so it is allocation-free too.
 	req := []reqCol{{0, pub.lookupVal("t1")}}
+	var buf []int32
 	if n := testing.AllocsPerRun(200, func() {
-		rows, all := pub.rowsWith(req)
+		rows, all := pub.rowsWith(req, &buf)
 		if all || len(rows) != 2 {
 			t.Fatal("rowsWith wrong")
 		}

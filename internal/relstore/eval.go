@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -11,18 +12,26 @@ import (
 // instance, full clause/definition evaluation (the hR(I) of the paper), and
 // example coverage.
 //
-// The solver runs on the interned store: candidate rows are enumerated as
-// row ids straight out of the CSR postings (a point probe borrows the
-// posting slice without copying), constants compare as int32 symbol ids,
-// and strings only surface when a variable is bound into the substitution
-// — as the shared interned name, never a fresh allocation.
+// Every evaluation runs on a prepared Query, the store's counterpart of a
+// precompiled stored procedure: Prepare resolves each body atom's table
+// once and interns its arguments into variable slots and symbol ids, so a
+// search compares int32s and never looks a name up. Coverage testing
+// prepares each candidate once per example list (ilp.Tester.Prober,
+// eval.Evaluate) and probes it per example; the string-facing entry points
+// below prepare a one-shot query per call. Candidate rows are enumerated
+// as row ids straight out of the CSR postings (a point probe borrows the
+// posting slice without copying), and strings only surface when a
+// solution is externalized — as the shared interned name, never a fresh
+// allocation. The search state comes from a pool, so a steady-state probe
+// of a prepared query allocates nothing.
 //
 // Evaluation is resource-bounded: conjunctive-query matching is NP-hard in
 // the clause length, and bottom-up learners produce long clauses, so each
 // top-level call explores at most the instance's evaluation budget of
 // search nodes and then reports "no (further) match" — the same cutoff
-// discipline subsumption engines like Resumer2 apply. The default budget is
-// far beyond what any non-pathological clause needs.
+// discipline subsumption engines like Resumer2 apply — and bumps the
+// eval_budget_exhausted counter. The default budget is far beyond what any
+// non-pathological clause needs.
 
 // DefaultEvalBudget is the default per-call search-node budget.
 const DefaultEvalBudget = 1 << 21
@@ -43,21 +52,94 @@ func (i *Instance) budget() int {
 	return i.evalBudget
 }
 
+// Query is a conjunctive query prepared against one instance: a clause
+// (or a headless body) whose body atoms carry their table and whose terms
+// are interned — variables as dense slots, constants as the instance's
+// symbol ids (UnknownSym for constants the instance lacks, which no row
+// holds). A Query is immutable and safe for concurrent use.
+type Query struct {
+	inst  *Instance
+	head  logic.Atom    // the clause head as written; Pred "" when headless
+	hargs []logic.ITerm // interned head terms
+	atoms []queryAtom   // body atoms in clause order
+	vars  []string      // slot → variable name
+}
+
+// queryAtom is one interned body atom. t is nil when the relation is
+// absent from the schema or the atom's arity does not match it: such an
+// atom matches nothing.
+type queryAtom struct {
+	t    *Table
+	args []logic.ITerm
+}
+
+// Prepare interns clause c against the instance for repeated coverage
+// tests (Query.Covers). Preparing does not scan the store.
+func (i *Instance) Prepare(c *logic.Clause) *Query {
+	return i.prepare(&c.Head, c.Body, nil)
+}
+
+// prepare interns an optional head and a body, resolving terms through
+// init first (the SatisfyBody shape).
+func (i *Instance) prepare(head *logic.Atom, body []logic.Atom, init logic.Substitution) *Query {
+	q := &Query{inst: i, atoms: make([]queryAtom, len(body))}
+	slots := make(map[string]int32)
+	term := func(t logic.Term) logic.ITerm {
+		if t = init.Resolve(t); !t.IsVar {
+			id, ok := i.syms.Lookup(t.Name)
+			if !ok {
+				id = logic.UnknownSym
+			}
+			return logic.ConstITerm(id)
+		}
+		k, ok := slots[t.Name]
+		if !ok {
+			k = int32(len(q.vars))
+			slots[t.Name] = k
+			q.vars = append(q.vars, t.Name)
+		}
+		return logic.VarITerm(k)
+	}
+	if head != nil {
+		q.head, q.hargs = *head, make([]logic.ITerm, len(head.Args))
+		for k, t := range head.Args {
+			q.hargs[k] = term(t)
+		}
+	}
+	for k, a := range body {
+		args := make([]logic.ITerm, len(a.Args))
+		for col, t := range a.Args {
+			args[col] = term(t)
+		}
+		t := i.tables[a.Pred]
+		if t != nil && t.rel.Arity() != len(args) {
+			t = nil
+		}
+		q.atoms[k] = queryAtom{t: t, args: args}
+	}
+	return q
+}
+
+// Covers reports whether the query's clause covers the ground example
+// atom e relative to the instance: some θ maps the head onto e and the
+// body into the instance. This is the coverage test of Definition 3.1.
+// An example constant the instance lacks gets a probe-local id, distinct
+// per name, that no row holds; head constants compare with e's terms as
+// written.
+func (q *Query) Covers(e logic.Atom) bool {
+	s := q.acquire()
+	found := s.bindHead(e) && s.solve()
+	s.release()
+	return found
+}
+
 // SatisfyBody reports whether some extension of init maps every body atom
 // onto a tuple of the instance. Atoms over relations absent from the schema
 // never match.
 func (i *Instance) SatisfyBody(body []logic.Atom, init logic.Substitution) bool {
-	if init == nil {
-		init = logic.NewSubstitution()
-	}
-	init = init.Clone() // the solver binds in place
-	found := false
-	ctx := evalCtx{nodes: i.budget()}
-	i.forEachSolution(body, init, &ctx, func(logic.Substitution) bool {
-		found = true
-		return false // stop at the first witness
-	})
-	ctx.flush(i.obs)
+	s := i.prepare(nil, body, init).acquire()
+	found := s.solve()
+	s.release()
 	return found
 }
 
@@ -67,40 +149,32 @@ func (i *Instance) SatisfyBody(body []logic.Atom, init logic.Substitution) bool 
 // SatisfyBody returning its evidence: `castor explain` renders the result
 // as the matching substitution of a coverage witness.
 func (i *Instance) WitnessBody(body []logic.Atom, init logic.Substitution) logic.Substitution {
-	if init == nil {
-		init = logic.NewSubstitution()
+	s := i.prepare(nil, body, init).acquire()
+	var w logic.Substitution
+	if s.solve() {
+		w = s.witness(init)
 	}
-	init = init.Clone() // the solver binds in place
-	var witness logic.Substitution
-	ctx := evalCtx{nodes: i.budget()}
-	i.forEachSolution(body, init, &ctx, func(s logic.Substitution) bool {
-		witness = s.Clone() // s is trail-managed; freeze the first solution
-		return false
-	})
-	ctx.flush(i.obs)
-	return witness
+	s.release()
+	return w
 }
 
 // CoverageWitness returns the substitution under which clause c covers
 // the ground example atom e — the head match extended to a full body
 // embedding — or nil when c does not cover e.
 func (i *Instance) CoverageWitness(c *logic.Clause, e logic.Atom) logic.Substitution {
-	s, ok := logic.MatchAtoms(c.Head, e, logic.NewSubstitution())
-	if !ok {
-		return nil
+	s := i.Prepare(c).acquire()
+	var w logic.Substitution
+	if s.bindHead(e) && s.solve() {
+		w = s.witness(nil)
 	}
-	return i.WitnessBody(c.Body, s)
+	s.release()
+	return w
 }
 
 // CoversExample reports whether clause c covers the ground example atom e
-// relative to the instance: some θ maps c's head onto e and c's body into
-// the instance. This is the coverage test of Definition 3.1.
+// relative to the instance (Query.Covers on a one-shot query).
 func (i *Instance) CoversExample(c *logic.Clause, e logic.Atom) bool {
-	s, ok := logic.MatchAtoms(c.Head, e, logic.NewSubstitution())
-	if !ok {
-		return false
-	}
-	return i.SatisfyBody(c.Body, s)
+	return i.Prepare(c).Covers(e)
 }
 
 // DefinitionCovers reports whether any clause of the definition covers e.
@@ -120,19 +194,19 @@ func (i *Instance) EvalClause(c *logic.Clause) ([]logic.Atom, error) {
 	if !c.IsSafe() {
 		return nil, fmt.Errorf("relstore: EvalClause on unsafe clause %v", c)
 	}
+	s := i.Prepare(c).acquire()
 	var out []logic.Atom
 	seen := make(map[string]bool)
-	ctx := evalCtx{nodes: i.budget()}
-	i.forEachSolution(c.Body, logic.NewSubstitution(), &ctx, func(s logic.Substitution) bool {
-		h := c.Head.Apply(s)
-		k := h.Key()
-		if !seen[k] {
+	s.yield = func() bool {
+		h := s.headAtom()
+		if k := h.Key(); !seen[k] {
 			seen[k] = true
 			out = append(out, h)
 		}
 		return true
-	})
-	ctx.flush(i.obs)
+	}
+	s.search(0)
+	s.release()
 	return out, nil
 }
 
@@ -157,36 +231,268 @@ func (i *Instance) EvalDefinition(d *logic.Definition) ([]logic.Atom, error) {
 	return out, nil
 }
 
-// evalCtx is the per-top-level-call state of the solver: the remaining
-// search-node budget and the tuples scanned so far. Scans accumulate in a
-// plain int on the search path and flush into the instrumentation run
-// once per call.
-type evalCtx struct {
-	nodes   int
-	scanned int64
+// solver is the search state of one top-level evaluation of a query: the
+// slot substitution with its trail, which body atoms the current branch
+// has matched, one row buffer per search depth, the probe-local names of
+// example constants the instance lacks, and the remaining budget and scan
+// count. Its slices outlive the call: the pool hands them to the next one.
+type solver struct {
+	q         *Query
+	subst     logic.Subst
+	used      []bool    // per body atom: matched on the current branch
+	rows      [][]int32 // per depth: filtered candidate row ids
+	unknown   []string  // probe-local id base+k → example constant name
+	base      int32     // first probe-local id: the instance's symbol count
+	nodes     int
+	scanned   int64
+	exhausted bool
+	found     bool
+	// yield receives each solution when set; returning false stops the
+	// search. nil stops at the first solution.
+	yield func() bool
 }
 
-func (c *evalCtx) flush(run *obs.Run) {
-	if c.scanned > 0 {
-		run.Add(obs.CTuplesScanned, c.scanned)
+var solvers = sync.Pool{New: func() any { return new(solver) }}
+
+// acquire takes a solver from the pool and resets it for one evaluation
+// of q.
+func (q *Query) acquire() *solver {
+	s := solvers.Get().(*solver)
+	s.q, s.base = q, int32(q.inst.syms.Len())
+	s.nodes, s.scanned, s.exhausted, s.found = q.inst.budget(), 0, false, false
+	s.subst.Reset(len(q.vars))
+	n := len(q.atoms)
+	if cap(s.used) < n {
+		s.used = make([]bool, n)
 	}
+	s.used = s.used[:n]
+	clear(s.used)
+	for len(s.rows) < n {
+		s.rows = append(s.rows, nil)
+	}
+	return s
 }
 
-// reqCol is one bound column of an interned candidate probe: the column
-// number and the symbol id it must hold (UnknownSym for constants absent
-// from the instance, which no row matches).
+// release reports the evaluation's scans and budget cut-off into the
+// instance's run and returns the solver to the pool.
+func (s *solver) release() {
+	run := s.q.inst.obs
+	if s.scanned > 0 {
+		run.Add(obs.CTuplesScanned, s.scanned)
+	}
+	if s.exhausted {
+		run.Inc(obs.CEvalBudgetExhausted)
+	}
+	clear(s.unknown)
+	s.unknown = s.unknown[:0]
+	s.q, s.yield = nil, nil
+	solvers.Put(s)
+}
+
+// bindHead binds the head's variable slots to e's symbol ids, reporting
+// whether the head matches e at all.
+func (s *solver) bindHead(e logic.Atom) bool {
+	if s.q.head.Pred != e.Pred || len(s.q.hargs) != len(e.Args) {
+		return false
+	}
+	for k, h := range s.q.hargs {
+		g := e.Args[k]
+		if !h.IsVar() {
+			if s.q.head.Args[k] != g {
+				return false
+			}
+			continue
+		}
+		id := s.symOf(g.Name)
+		if v, bound := s.subst.Value(h.Slot()); bound {
+			if v != id {
+				return false
+			}
+			continue
+		}
+		s.subst.Bind(h.Slot(), id)
+	}
+	return true
+}
+
+// symOf returns the instance's id of an example constant, or its
+// probe-local id when the instance lacks it: equal names share an id,
+// different names never do.
+func (s *solver) symOf(name string) int32 {
+	if id, ok := s.q.inst.syms.Lookup(name); ok {
+		return id
+	}
+	for k, u := range s.unknown {
+		if u == name {
+			return s.base + int32(k)
+		}
+	}
+	s.unknown = append(s.unknown, name)
+	return s.base + int32(len(s.unknown)-1)
+}
+
+// name externalizes a bound symbol id.
+func (s *solver) name(id int32) string {
+	if id >= s.base {
+		return s.unknown[id-s.base]
+	}
+	return s.q.inst.syms.Name(id)
+}
+
+// solve searches for the first solution.
+func (s *solver) solve() bool {
+	s.search(0)
+	return s.found
+}
+
+// value resolves an interned term under the current bindings.
+func (s *solver) value(t logic.ITerm) (int32, bool) {
+	if t.IsVar() {
+		return s.subst.Value(t.Slot())
+	}
+	return t.Sym(), true
+}
+
+// reqCol is one bound column of a literal probe: the column number and
+// the symbol id it must hold.
 type reqCol struct {
 	col int
 	val int32
 }
 
+// search enumerates extensions of the current bindings that match every
+// body atom not yet used, choosing at each node the first remaining atom
+// (in clause order) with the smallest candidate estimate. Each call is
+// one search node of the budget; it returns false when the search stops
+// (a yield said stop, the first solution was found, or the budget ran
+// out).
+func (s *solver) search(depth int) bool {
+	s.nodes--
+	if s.nodes < 0 {
+		s.exhausted = true
+		return false // budget exhausted: cut the search
+	}
+	atoms := s.q.atoms
+	if depth == len(atoms) {
+		if s.yield == nil {
+			s.found = true
+			return false
+		}
+		return s.yield()
+	}
+	best, bestN := -1, -1
+	for k := range atoms {
+		if s.used[k] {
+			continue
+		}
+		if n := s.estimate(&atoms[k]); bestN == -1 || n < bestN {
+			best, bestN = k, n
+			if n == 0 {
+				return true // dead branch: no solutions, but not stopped
+			}
+		}
+	}
+	a := &atoms[best]
+	var reqBuf [maxInlineArity]reqCol
+	req := reqBuf[:0]
+	for col, arg := range a.args {
+		if v, ok := s.value(arg); ok {
+			req = append(req, reqCol{col, v})
+		}
+	}
+	rows, all := a.t.rowsWith(req, &s.rows[depth])
+	s.used[best] = true
+	if all {
+		s.scanned += int64(a.t.nrows)
+		for r := 0; r < a.t.nrows; r++ {
+			if !s.step(a, int32(r), depth) {
+				return false
+			}
+		}
+	} else {
+		s.scanned += int64(len(rows))
+		for _, r := range rows {
+			if !s.step(a, r, depth) {
+				return false
+			}
+		}
+	}
+	s.used[best] = false
+	return true
+}
+
+// step matches atom a against row r, binding its free slots on the trail,
+// searches the rest, and undoes the bindings. It returns false only when
+// the search stops.
+func (s *solver) step(a *queryAtom, r int32, depth int) bool {
+	mark := s.subst.Mark()
+	row := a.t.data[int(r)*len(a.args):]
+	for col, arg := range a.args {
+		if v, ok := s.value(arg); !ok {
+			s.subst.Bind(arg.Slot(), row[col])
+		} else if v != row[col] {
+			s.subst.UndoTo(mark)
+			return true
+		}
+	}
+	if !s.search(depth + 1) {
+		return false
+	}
+	s.subst.UndoTo(mark)
+	return true
+}
+
+// estimate returns a cheap upper bound on the number of rows matching the
+// atom under the current bindings, used for literal selection.
+func (s *solver) estimate(a *queryAtom) int {
+	if a.t == nil {
+		return 0
+	}
+	best := a.t.nrows
+	for col, arg := range a.args {
+		if v, ok := s.value(arg); ok {
+			if n := a.t.countMatching(col, v); n < best {
+				best = n
+			}
+		}
+	}
+	return best
+}
+
+// witness externalizes the current bindings as a substitution extending
+// init.
+func (s *solver) witness(init logic.Substitution) logic.Substitution {
+	out := init.Clone()
+	for slot, v := range s.q.vars {
+		if id, ok := s.subst.Value(int32(slot)); ok {
+			out[v] = logic.Const(s.name(id))
+		}
+	}
+	return out
+}
+
+// headAtom externalizes the head under the current bindings.
+func (s *solver) headAtom() logic.Atom {
+	args := make([]logic.Term, len(s.q.hargs))
+	for k, h := range s.q.hargs {
+		if h.IsVar() {
+			id, _ := s.subst.Value(h.Slot())
+			args[k] = logic.Const(s.name(id))
+		} else {
+			args[k] = s.q.head.Args[k]
+		}
+	}
+	return logic.Atom{Pred: s.q.head.Pred, Args: args}
+}
+
 // rowsWith is TuplesWith over interned requirements: same statistics,
 // same most-selective-column start, same ascending result order — but it
-// yields row ids instead of materialized tuples, and a point probe
-// borrows the CSR posting slice without copying. An empty requirement
-// returns (nil, true): every row matches, and the caller iterates the row
-// space directly instead of materializing len(t) ids.
-func (t *Table) rowsWith(req []reqCol) (rows []int32, all bool) {
+// yields row ids instead of materialized tuples. A point probe of an
+// indexed table borrows the CSR posting slice without copying; any other
+// result is written into *buf, which the caller owns and reuses. An empty
+// requirement returns (nil, true): every row matches, and the caller
+// iterates the row space directly instead of materializing len(t) ids.
+func (t *Table) rowsWith(req []reqCol, buf *[]int32) (rows []int32, all bool) {
 	t.stats.lookups.Add(1)
 	if len(req) == 0 {
 		t.stats.scanned.Add(int64(t.nrows))
@@ -204,12 +510,18 @@ func (t *Table) rowsWith(req []reqCol) (rows []int32, all bool) {
 	if t.indexed {
 		t.stats.indexHits.Add(1)
 	}
-	probe := t.matchingRows(req[best].col, req[best].val)
+	probe := t.matchingRows(req[best].col, req[best].val, (*buf)[:0])
+	if !t.indexed {
+		*buf = probe // the scan wrote into, and may have grown, the buffer
+	}
 	t.stats.scanned.Add(int64(len(probe)))
 	if len(req) == 1 {
 		return probe, false
 	}
-	out := make([]int32, 0, len(probe))
+	// Filter into the buffer. On an unindexed table probe already lives
+	// there, and the in-place filter's write cursor never passes its read
+	// cursor.
+	out := (*buf)[:0]
 	ar := t.rel.Arity()
 	for _, r := range probe {
 		base := int(r) * ar
@@ -224,126 +536,6 @@ func (t *Table) rowsWith(req []reqCol) (rows []int32, all bool) {
 			out = append(out, r)
 		}
 	}
+	*buf = out
 	return out, false
-}
-
-// forEachSolution enumerates extensions of s satisfying all atoms,
-// backtracking with most-constrained-literal selection. yield returning
-// false stops the enumeration; forEachSolution returns false when stopped
-// early. ctx carries the remaining search budget (exhausting it also
-// stops) and the scan counter.
-func (i *Instance) forEachSolution(atoms []logic.Atom, s logic.Substitution, ctx *evalCtx, yield func(logic.Substitution) bool) bool {
-	ctx.nodes--
-	if ctx.nodes < 0 {
-		return false // budget exhausted: cut the search
-	}
-	if len(atoms) == 0 {
-		return yield(s)
-	}
-	// Pick the atom with the smallest candidate estimate.
-	bestIdx, bestCount := -1, -1
-	for k, a := range atoms {
-		n := i.candidateEstimate(a, s)
-		if bestCount == -1 || n < bestCount {
-			bestIdx, bestCount = k, n
-			if n == 0 {
-				return true // dead branch: no solutions, but not stopped
-			}
-		}
-	}
-	atom := atoms[bestIdx]
-	rest := make([]logic.Atom, 0, len(atoms)-1)
-	rest = append(rest, atoms[:bestIdx]...)
-	rest = append(rest, atoms[bestIdx+1:]...)
-
-	t := i.tables[atom.Pred]
-	if t == nil || t.rel.Arity() != atom.Arity() {
-		return true
-	}
-	// Interned requirement over the positions bound at entry.
-	var reqBuf [maxInlineArity]reqCol
-	req := reqBuf[:0]
-	for col, arg := range atom.Args {
-		r := s.Resolve(arg)
-		if !r.IsVar {
-			req = append(req, reqCol{col, t.lookupVal(r.Name)})
-		}
-	}
-	// Trail-based binding: extend s in place per candidate row and undo on
-	// backtrack, avoiding a substitution clone per row.
-	step := func(r int32) bool {
-		trail, ok := t.bindRow(atom, r, s)
-		if !ok {
-			return true
-		}
-		if !i.forEachSolution(rest, s, ctx, yield) {
-			return false
-		}
-		for _, v := range trail {
-			delete(s, v)
-		}
-		return true
-	}
-	rows, allRows := t.rowsWith(req)
-	if allRows {
-		ctx.scanned += int64(t.nrows)
-		for r := 0; r < t.nrows; r++ {
-			if !step(int32(r)) {
-				return false
-			}
-		}
-		return true
-	}
-	ctx.scanned += int64(len(rows))
-	for _, r := range rows {
-		if !step(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// bindRow extends s so the atom matches row r of t, returning the trail
-// of newly bound variables; on mismatch it restores s and reports false.
-// Variables bind to the shared interned name of the row value — no string
-// is built — and constants compare as symbol ids.
-func (t *Table) bindRow(atom logic.Atom, r int32, s logic.Substitution) ([]string, bool) {
-	base := int(r) * t.rel.Arity()
-	var trail []string
-	for col, arg := range atom.Args {
-		res := s.Resolve(arg)
-		v := t.data[base+col]
-		if res.IsVar {
-			s[res.Name] = logic.Const(t.syms.Name(v))
-			trail = append(trail, res.Name)
-			continue
-		}
-		if id, ok := t.syms.Lookup(res.Name); !ok || id != v {
-			for _, x := range trail {
-				delete(s, x)
-			}
-			return nil, false
-		}
-	}
-	return trail, true
-}
-
-// candidateEstimate returns a cheap upper bound on the number of tuples
-// matching the atom under s, used for literal selection.
-func (i *Instance) candidateEstimate(a logic.Atom, s logic.Substitution) int {
-	t := i.tables[a.Pred]
-	if t == nil || t.rel.Arity() != a.Arity() {
-		return 0
-	}
-	best := t.Len()
-	for col, arg := range a.Args {
-		r := s.Resolve(arg)
-		if r.IsVar {
-			continue
-		}
-		if n := t.countMatching(col, t.lookupVal(r.Name)); n < best {
-			best = n
-		}
-	}
-	return best
 }

@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/obs"
 )
 
 func TestSatisfyBody(t *testing.T) {
@@ -159,6 +161,45 @@ func TestEvalEmptyBody(t *testing.T) {
 	}
 }
 
+// TestEvalBudgetExhaustedCounter: a search cut by the node budget answers
+// "not covered" and bumps eval_budget_exhausted once per cut-off; a search
+// that finishes within the budget bumps nothing.
+func TestEvalBudgetExhaustedCounter(t *testing.T) {
+	i := smallInstance(t)
+	reg := obs.NewRegistry()
+	i.SetObs(obs.NewRun(nil, reg))
+	q := i.Prepare(logic.MustParseClause("collab(X, Y) :- publication(P, X), publication(P, Y), professor(Y)."))
+	covered, uncovered := logic.GroundAtom("collab", "abe", "pat"), logic.GroundAtom("collab", "bea", "pat")
+	cutoffs := func() int64 { return reg.Get(obs.CEvalBudgetExhausted) }
+
+	// The covered example needs four search nodes: the root, one per body
+	// atom matched, and the solution.
+	for _, tc := range []struct {
+		budget  int
+		ex      logic.Atom
+		want    bool
+		cutoffs int64
+	}{
+		{0, covered, true, 0},
+		{2, covered, false, 1}, // cut while matching the second atom
+		{3, covered, false, 2}, // cut before the solution node
+		{4, covered, true, 2},
+		{2, uncovered, false, 2}, // fails within two nodes: no cut-off
+		{1, uncovered, false, 3},
+	} {
+		i.SetEvalBudget(tc.budget)
+		if got := q.Covers(tc.ex); got != tc.want {
+			t.Errorf("budget %d: Covers(%v) = %v, want %v", tc.budget, tc.ex, got, tc.want)
+		}
+		if got := cutoffs(); got != tc.cutoffs {
+			t.Errorf("budget %d, %v: eval_budget_exhausted = %d, want %d", tc.budget, tc.ex, got, tc.cutoffs)
+		}
+	}
+}
+
+// BenchmarkCoversExample measures one direct coverage test: oneshot
+// prepares the clause on every call (Instance.CoversExample), prepared
+// probes one Query, the coverage-testing access pattern.
 func BenchmarkCoversExample(b *testing.B) {
 	s := NewSchema()
 	s.MustAddRelation("publication", "title", "person")
@@ -166,12 +207,63 @@ func BenchmarkCoversExample(b *testing.B) {
 	for k := 0; k < 2000; k++ {
 		i.MustInsert("publication", "t"+itoa(k%500), "p"+itoa(k%97))
 	}
+	i.Freeze()
 	c := logic.MustParseClause("collab(X,Y) :- publication(P,X), publication(P,Y).")
 	e := logic.GroundAtom("collab", "p3", "p17")
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		i.CoversExample(c, e)
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			coversSink = i.CoversExample(c, e)
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		q := i.Prepare(c)
+		q.Covers(e)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			coversSink = q.Covers(e)
+		}
+	})
+}
+
+// coversSink keeps benchmark results live, so no probe is optimized away.
+var coversSink bool
+
+// TestPreparedQueryConcurrentProbes: one Query probed from several
+// goroutines at once (as the coverage pool's workers share a candidate)
+// gives every example the answer a sequential probe gives.
+func TestPreparedQueryConcurrentProbes(t *testing.T) {
+	i := smallInstance(t)
+	i.Freeze()
+	q := i.Prepare(logic.MustParseClause("collab(X, Y) :- publication(P, X), publication(P, Y)."))
+	people := []string{"abe", "bea", "pat", "ghost", "nobody"}
+	var exs []logic.Atom
+	var want []bool
+	for _, x := range people {
+		for _, y := range people {
+			e := logic.GroundAtom("collab", x, y)
+			exs = append(exs, e)
+			want = append(want, q.Covers(e))
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				for k := range exs {
+					k := (k + w) % len(exs)
+					if got := q.Covers(exs[k]); got != want[k] {
+						t.Errorf("worker %d: Covers(%v) = %v, want %v", w, exs[k], got, want[k])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func itoa(n int) string {

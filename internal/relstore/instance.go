@@ -168,6 +168,20 @@ func (i *Instance) StoreStats() map[string]obs.StoreStat {
 	return out
 }
 
+// StoreTotals sums the access statistics of every table, without building
+// StoreStats' per-relation map.
+func (i *Instance) StoreTotals() obs.StoreStat {
+	var sum obs.StoreStat
+	for _, t := range i.tables {
+		s := t.Stats()
+		sum.Lookups += s.Lookups
+		sum.TuplesScanned += s.TuplesScanned
+		sum.IndexHits += s.IndexHits
+		sum.INDExpansions += s.INDExpansions
+	}
+	return sum
+}
+
 // ResetStoreStats zeroes the access statistics of every table.
 func (i *Instance) ResetStoreStats() {
 	for _, t := range i.tables {
