@@ -13,9 +13,8 @@
 //	castor -schema db.schema -data db.facts \
 //	       -pos pos.facts -neg neg.facts -target 'advisedBy(stud, prof)'
 //
-//	# observability: human-readable events, machine-readable trace and
-//	# run report, CPU/heap profiles
-//	castor -dataset uwcse -v
+//	# observability: span trace (plus the summary table) and run report,
+//	# CPU/heap profiles
 //	castor -dataset uwcse -trace trace.jsonl -report run.json
 //	castor -dataset uwcse -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -32,7 +31,7 @@
 //
 // File formats are those of internal/relstore: `rel name(attr, …)` /
 // `fd` / `ind` / `domain` lines for the schema, one ground fact per line
-// for data and examples. The trace file is JSONL (one event object per
+// for data and examples. The trace file is JSONL (one span object per
 // line); the run report holds the JSON snapshot of the run's registry
 // under "metrics" (see README "Observability" for both schemas).
 package main
@@ -102,8 +101,7 @@ func main() {
 	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
 	flag.Float64Var(&o.scale, "scale", 1, "multiply the generated dataset's entity counts (1 = defaults; see README \"Paper-scale data\")")
 	flag.BoolVar(&o.subsetINDs, "subset-inds", false, "Castor: chase general subset INDs (§7.4)")
-	flag.BoolVar(&o.Verbose, "v", false, "log trace events to stderr")
-	flag.StringVar(&o.TracePath, "trace", "", "write a span and event trace to this file: Chrome trace-event (Perfetto) JSON if the path ends in .json, JSONL otherwise")
+	flag.StringVar(&o.TracePath, "trace", "", "write a span trace to this file: Chrome trace-event (Perfetto) JSON if the path ends in .json, JSONL otherwise")
 	flag.StringVar(&o.ReportPath, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
 	flag.StringVar(&o.HTTPAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
 	flag.DurationVar(&o.HTTPIdle, "http-idle", 0, "keep the -http server alive this long after the run finishes")

@@ -7,7 +7,7 @@
 //	experiments -exp table9 -scale 0.5   # smaller/faster
 //
 //	# observability: aggregate counters/timers across every learner run
-//	experiments -exp table10 -v -trace trace.jsonl -report run.json
+//	experiments -exp table10 -trace trace.jsonl -report run.json
 //	experiments -exp table10 -trace trace.json   # Chrome trace (Perfetto)
 //	experiments -exp all -http :6060     # live /metrics /progress /debug/pprof/
 //	experiments -exp fig2 -cpuprofile cpu.pprof
@@ -51,8 +51,7 @@ func main() {
 	flag.IntVar(&o.par, "par", 4, "coverage-test parallelism")
 	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
 	flag.IntVar(&o.fig3Defs, "fig3-defs", 10, "random definitions per Figure 3 setting")
-	flag.BoolVar(&o.Verbose, "v", false, "log trace events to stderr")
-	flag.StringVar(&o.TracePath, "trace", "", "write a span and event trace to this file: Chrome trace-event (Perfetto) JSON if the path ends in .json, JSONL otherwise")
+	flag.StringVar(&o.TracePath, "trace", "", "write a span trace to this file: Chrome trace-event (Perfetto) JSON if the path ends in .json, JSONL otherwise")
 	flag.StringVar(&o.ReportPath, "report", "", "write the JSON run report (for cmd/obsreport) to this file")
 	flag.StringVar(&o.HTTPAddr, "http", "", "serve /metrics, /progress, /debug/flightrecorder and /debug/pprof/ on this address (e.g. :6060)")
 	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")

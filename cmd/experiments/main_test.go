@@ -11,7 +11,7 @@ import (
 
 // TestReportCarriesEnv: an experiments run writes a report with the same
 // session as castor — env block included — and prints the summary table
-// only under -v or -trace.
+// only under -trace.
 func TestReportCarriesEnv(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
 	o := options{exp: "table2", scale: 0.05, par: 1, Config: obs.Config{Seed: 1, ReportPath: path}}
@@ -20,7 +20,7 @@ func TestReportCarriesEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "run metrics:") {
-		t.Error("summary table printed without -v or -trace")
+		t.Error("summary table printed without -trace")
 	}
 	rep, err := obs.LoadRunReport(path)
 	if err != nil {

@@ -137,20 +137,26 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	}
 	var fallback *logic.Clause
 	for s := 0; s < tries; s++ {
-		if run.Tracing() {
-			run.Emit("castor.seed", obs.F("seed", uncovered[s].String()), obs.F("try", s))
+		// One span per try: the bottom clause, beam rounds and reduction
+		// of this seed nest under it, and it records the clause the seed
+		// produced and whether the minimum condition accepted it.
+		var st *obs.Span
+		if run.Spanning() {
+			st = run.StartSpan("seed_try", obs.F("seed", uncovered[s].String()), obs.F("try", s))
 		}
 		c := l.learnClauseFromSeed(prob, params, tester, rng, plan, uncovered, uncovered[s])
 		if c == nil {
+			st.End()
 			continue
 		}
 		p, n := tester.PosNeg(c, uncovered, prob.Neg, nil, nil)
-		if run.Tracing() {
-			run.Emit("castor.clause",
-				obs.F("clause", c.String()), obs.F("pos", p), obs.F("neg", n),
-				obs.F("accepted", ilp.AcceptClause(params, p, n)))
+		accepted := ilp.AcceptClause(params, p, n)
+		if st != nil {
+			st.Annotate(obs.F("clause", c.String()), obs.F("pos", p), obs.F("neg", n),
+				obs.F("accepted", accepted))
 		}
-		if ilp.AcceptClause(params, p, n) {
+		st.End()
+		if accepted {
 			return c
 		}
 		if fallback == nil {
@@ -200,11 +206,6 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			})
 		}
 		bottom = minimized
-	}
-	if run.Tracing() {
-		run.Emit("castor.bottom",
-			obs.F("seed", seed.String()), obs.F("literals", len(bottom.Body)),
-			obs.F("vars", bottom.NumVars()))
 	}
 
 	// Full evaluation of one clause; the tester gates the §7.5.4 knowns and
@@ -334,12 +335,10 @@ func (l *Learner) learnClauseFromSeed(prob *ilp.Problem, params ilp.Params, test
 			next = next[:width]
 		}
 		beam = next
-		if run.Tracing() {
-			run.Emit("castor.beam",
-				obs.F("iter", iter), obs.F("beam", len(beam)),
-				obs.F("best", beam[0].score), obs.F("literals", len(beam[0].clause.Body)))
+		if sr != nil {
+			sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score),
+				obs.F("kept", len(beam)), obs.F("literals", len(beam[0].clause.Body)))
 		}
-		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score))
 		sr.End()
 	}
 	best := beam[0]

@@ -14,8 +14,8 @@ import (
 	"repro/internal/testfix"
 )
 
-// TestObservationDoesNotChangeLearning: the nop tracer (nil Obs) and a
-// fully live run (JSONL tracer + registry) must learn the identical
+// TestObservationDoesNotChangeLearning: the nop run (nil Obs) and a fully
+// live run (JSONL span trace + registry) must learn the identical
 // definition — instrumentation must never influence search.
 func TestObservationDoesNotChangeLearning(t *testing.T) {
 	learn := func(run *obs.Run) string {
@@ -54,23 +54,64 @@ func TestObservationDoesNotChangeLearning(t *testing.T) {
 		t.Error("span timers stayed zero over a full Castor run")
 	}
 
-	// And the trace must be line-parseable with the core event sequence.
-	events := map[string]int{}
+	// Every trace line is a span line, and the spans carry what the
+	// covering loop and the seed tries decided.
+	byKind := map[string][]map[string]any{}
+	byID := map[float64]map[string]any{}
 	sc := bufio.NewScanner(&trace)
 	for sc.Scan() {
 		var obj map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
 			t.Fatalf("trace line %q does not parse: %v", sc.Text(), err)
 		}
-		name, _ := obj["event"].(string)
-		if name == "" {
-			t.Fatalf("trace line %q has no event name", sc.Text())
+		kind, _ := obj["span"].(string)
+		if kind == "" {
+			t.Fatalf("trace line %q is not a span line", sc.Text())
 		}
-		events[name]++
+		byKind[kind] = append(byKind[kind], obj)
+		byID[obj["id"].(float64)] = obj
 	}
-	for _, want := range []string{"castor.seed", "castor.bottom", "castor.beam", "castor.clause", "covering.iteration", "covering.done"} {
-		if events[want] == 0 {
-			t.Errorf("trace has no %q event (saw %v)", want, events)
+	// has reports whether some span of the kind carries every key.
+	has := func(kind string, keys ...string) bool {
+		for _, sp := range byKind[kind] {
+			ok := true
+			for _, k := range keys {
+				if _, found := sp[k]; !found {
+					ok = false
+				}
+			}
+			if ok {
+				return true
+			}
+		}
+		return false
+	}
+	for _, want := range []struct {
+		kind string
+		keys []string
+	}{
+		{"learn", []string{"clauses", "uncovered"}},
+		{"covering_iteration", []string{"clauses", "uncovered", "accepted", "pos", "neg", "literals", "clause"}},
+		{"seed_try", []string{"seed", "try", "clause", "pos", "neg", "accepted"}},
+		{"bottom_clause", []string{"seed", "literals", "vars"}},
+		{"beam_round", []string{"iter", "beam", "candidates", "best", "kept", "literals"}},
+	} {
+		if !has(want.kind, want.keys...) {
+			t.Errorf("no %s span carries %v (saw %d spans of the kind)", want.kind, want.keys, len(byKind[want.kind]))
+		}
+	}
+	// The seed try is the unit of search: bottom clauses and beam rounds
+	// nest under it, and it nests under a covering iteration.
+	for _, kind := range []string{"bottom_clause", "beam_round", "negative_reduction"} {
+		for _, sp := range byKind[kind] {
+			if p := byID[sp["parent"].(float64)]; p == nil || p["span"] != "seed_try" {
+				t.Fatalf("%s span %v is not parented under a seed_try", kind, sp["id"])
+			}
+		}
+	}
+	for _, sp := range byKind["seed_try"] {
+		if p := byID[sp["parent"].(float64)]; p == nil || p["span"] != "covering_iteration" {
+			t.Fatalf("seed_try span %v is not parented under a covering_iteration", sp["id"])
 		}
 	}
 }

@@ -143,17 +143,31 @@ func flipLabels(r *rng, pos, neg []logic.Atom, frac float64) (outPos, outNeg []l
 	if n > len(neg) {
 		n = len(neg)
 	}
-	pos = append([]logic.Atom(nil), pos...)
-	neg = append([]logic.Atom(nil), neg...)
+	// Each pool is shuffled where its parts end up, so both outputs are
+	// one exactly sized allocation and each atom is copied once: the
+	// first n positions of a pool (its head) live at the tail of the other
+	// output, the rest in place at the front of its own.
+	outPos = make([]logic.Atom, len(pos))
+	outNeg = make([]logic.Atom, len(neg))
+	posHead, posRest := outNeg[len(neg)-n:], outPos[:len(pos)-n]
+	negHead, negRest := outPos[len(pos)-n:], outNeg[:len(neg)-n]
+	copy(posHead, pos[:n])
+	copy(posRest, pos[n:])
+	copy(negHead, neg[:n])
+	copy(negRest, neg[n:])
+	at := func(head, rest []logic.Atom, i int) *logic.Atom {
+		if i < n {
+			return &head[i]
+		}
+		return &rest[i-n]
+	}
 	// Select n positives and n negatives to swap (partial Fisher-Yates).
 	for i := 0; i < n; i++ {
-		j := i + r.Intn(len(pos)-i)
-		pos[i], pos[j] = pos[j], pos[i]
-		k := i + r.Intn(len(neg)-i)
-		neg[i], neg[k] = neg[k], neg[i]
+		pi, pj := at(posHead, posRest, i), at(posHead, posRest, i+r.Intn(len(pos)-i))
+		*pi, *pj = *pj, *pi
+		ni, nk := at(negHead, negRest, i), at(negHead, negRest, i+r.Intn(len(neg)-i))
+		*ni, *nk = *nk, *ni
 	}
-	outPos = append(append([]logic.Atom(nil), pos[n:]...), neg[:n]...)
-	outNeg = append(append([]logic.Atom(nil), neg[n:]...), pos[:n]...)
 	return outPos, outNeg
 }
 

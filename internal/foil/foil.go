@@ -132,11 +132,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		} else {
 			zeroRun = 0
 		}
-		if run.Tracing() {
-			run.Emit("foil.literal",
-				obs.F("literal", best.atom.String()), obs.F("gain", best.gain),
-				obs.F("pos", best.p), obs.F("neg", best.n))
-		}
 		clause = extend(clause, best.atom)
 		if prov.Enabled() {
 			provID = prov.Node(obs.ProvNode{
@@ -151,7 +146,10 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 		}
 		nextVar += len(best.newVars)
 		p, n = best.p, best.n
-		sr.Annotate(obs.F("candidates", len(cands)), obs.F("pos", p), obs.F("neg", n))
+		if sr != nil {
+			sr.Annotate(obs.F("candidates", len(cands)), obs.F("pos", p), obs.F("neg", n),
+				obs.F("literal", best.atom.String()), obs.F("gain", best.gain))
+		}
 		sr.End()
 	}
 	if n > 0 && !ilp.AcceptClause(params, p, n) {

@@ -119,11 +119,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 					seed:    sample[j].String(),
 				})
 			}
-			if run.Tracing() {
-				run.Emit("golem.rlgg",
-					obs.F("pair", []string{sample[i].String(), sample[j].String()}),
-					obs.F("literals", len(g.Body)))
-			}
 		}
 	}
 	var bestID uint64
@@ -197,12 +192,10 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 			node(s.P, s.N, float64(sc), obs.DispPrunedScore)
 		}
 	}
-	se.Annotate(obs.F("score", best.score))
-	se.End()
-	if run.Tracing() {
-		run.Emit("golem.clause",
-			obs.F("clause", best.clause.String()), obs.F("score", best.score))
+	if se != nil {
+		se.Annotate(obs.F("score", best.score), obs.F("clause", best.clause.String()))
 	}
+	se.End()
 	return best.clause
 }
 

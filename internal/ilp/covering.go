@@ -26,10 +26,6 @@ func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) 
 		if params.MaxClauses > 0 && def.Len() >= params.MaxClauses {
 			break
 		}
-		if run.Tracing() {
-			run.Emit("covering.iteration",
-				obs.F("clauses", def.Len()), obs.F("uncovered", len(uncovered)))
-		}
 		sp := run.StartSpan("covering_iteration",
 			obs.F("clauses", def.Len()), obs.F("uncovered", len(uncovered)))
 		c, err := learn(uncovered)
@@ -49,11 +45,10 @@ func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) 
 		if p == 0 || !AcceptClause(params, p, n) {
 			// The best learnable clause fails the minimum condition.
 			run.Inc(obs.CClausesRejected)
-			if run.Tracing() {
-				run.Emit("covering.rejected",
-					obs.F("clause", c.String()), obs.F("pos", p), obs.F("neg", n))
+			if sp != nil {
+				sp.Annotate(obs.F("accepted", false), obs.F("pos", p), obs.F("neg", n),
+					obs.F("clause", c.String()))
 			}
-			sp.Annotate(obs.F("accepted", false))
 			sp.End()
 			break
 		}
@@ -61,13 +56,10 @@ func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) 
 		if prov := run.Prov(); prov.Enabled() {
 			prov.Selected(c.String(), p, n)
 		}
-		if run.Tracing() {
-			run.Emit("covering.accepted",
-				obs.F("clause", c.String()), obs.F("pos", p), obs.F("neg", n),
-				obs.F("literals", len(c.Body)))
+		if sp != nil {
+			sp.Annotate(obs.F("accepted", true), obs.F("pos", p), obs.F("neg", n),
+				obs.F("literals", len(c.Body)), obs.F("clause", c.String()))
 		}
-		sp.Annotate(obs.F("accepted", true), obs.F("pos", p), obs.F("neg", n),
-			obs.F("literals", len(c.Body)))
 		sp.End()
 		def.Add(c)
 		rest := uncovered[:0]
@@ -78,9 +70,10 @@ func Cover(prob *Problem, params Params, tester *Tester, learn LearnClauseFunc) 
 		}
 		uncovered = rest
 	}
-	if run.Tracing() {
-		run.Emit("covering.done",
-			obs.F("clauses", def.Len()), obs.F("uncovered", len(uncovered)))
+	// The learner's enclosing span (its "learn") records what the loop
+	// left uncovered.
+	if sp := run.CurrentSpan(); sp != nil {
+		sp.Annotate(obs.F("uncovered", len(uncovered)))
 	}
 	return def, nil
 }

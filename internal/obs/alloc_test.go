@@ -8,20 +8,18 @@ import (
 // TestNilRunFastPathAllocs pins the contract the learner hot paths rely
 // on: with observability off (nil *Run), every instrumentation call is a
 // pointer test and nothing else — zero allocations. Call sites that pass
-// fields guard them behind Tracing()/Spanning(), so the no-field forms
+// fields guard them behind Spanning(), so the no-field forms
 // below are the ones that run uninstrumented.
 func TestNilRunFastPathAllocs(t *testing.T) {
 	var r *Run
 	var fr *FlightRecorder
 	cases := map[string]func(){
-		"Emit":          func() { r.Emit("covering.accepted") },
 		"Inc":           func() { r.Inc(CCoverageTests) },
 		"Add":           func() { r.Add(CTuplesScanned, 42) },
 		"Span":          func() { r.StartSpan("learn").End() },
 		"WorkerSpan":    func() { r.StartWorkerSpan(nil, "shard", 1, 0).End() },
 		"CurrentSpan":   func() { _ = r.CurrentSpan() },
 		"Annotate":      func() { r.StartSpan("learn").Annotate() },
-		"Tracing":       func() { _ = r.Tracing() },
 		"Spanning":      func() { _ = r.Spanning() },
 		"Registry":      func() { _ = r.Registry() },
 		"Heartbeat":     func() { r.Heartbeat() },

@@ -473,15 +473,6 @@ func (r Report) WritePrometheus(w io.Writer) {
 	}
 }
 
-// FlatMetrics flattens the report into one name → value table — the
-// namespace cmd/obsreport diffs and gates on: counters keep their names,
-// spans become span_<name>_seconds/span_<name>_calls, histograms
-// hist_<name>_{p50,p95,p99,count}, gauges keep their names.
-func (r Report) FlatMetrics() map[string]float64 {
-	out, _ := r.FlatMetricsWithFamilies()
-	return out
-}
-
 // Metric family names, as reported by FlatMetricsWithFamilies. A flat
 // metric that changes family between two reports (a counter renamed into
 // a histogram, say) is a schema mismatch the report differ must refuse
@@ -496,8 +487,11 @@ const (
 	FamAttrib    = "attrib"
 )
 
-// FlatMetricsWithFamilies is FlatMetrics also reporting which family
-// (counter, span, histogram, gauge, relstore) each flattened
+// FlatMetricsWithFamilies flattens the report into one name → value table
+// — the namespace cmd/obsreport diffs and gates on: counters keep their
+// names, spans become span_<name>_seconds/span_<name>_calls, histograms
+// hist_<name>_{p50,p95,p99,count}, gauges keep their names — and reports
+// which family (counter, span, histogram, gauge, relstore) each flattened
 // metric came from.
 func (r Report) FlatMetricsWithFamilies() (map[string]float64, map[string]string) {
 	out := make(map[string]float64, len(r.Counters)+2*len(r.Spans))

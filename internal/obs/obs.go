@@ -1,5 +1,5 @@
-// Package obs is the instrumentation layer of the repository: structured
-// trace events, atomic counters and nested spans for the learning pipeline
+// Package obs is the instrumentation layer of the repository: atomic
+// counters and nested, annotated spans for the learning pipeline
 // (bottom-clause construction, beam search, coverage testing, negative
 // reduction, minimization), plus the exporters that make them operable —
 // a Chrome-trace (Perfetto) span exporter, a Prometheus/-progress
@@ -18,8 +18,12 @@
 // packages; obs makes them visible: every counter below maps to one of
 // those optimizations, so a run report shows whether they fire.
 //
-// The central type is *Run, a pairing of an optional Tracer (event sink)
-// with an optional *Registry (counters, span aggregates, histograms). A
+// Spans are also the only structured record: what a learner wants to say
+// about a region (the seed tried, the clause accepted, the beam kept) is a
+// field of that region's span, so every sink sees one event stream.
+//
+// The central type is *Run, a pairing of an optional SpanSink with an
+// optional *Registry (counters, span aggregates, histograms). A
 // nil *Run is the nop default: every method is nil-safe and returns
 // immediately, so uninstrumented runs pay only a pointer test on the hot
 // paths. Learners receive the run through ilp.Params.Obs; the binaries
@@ -29,7 +33,6 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter identifies one atomic counter of the registry. The fixed
@@ -205,7 +208,7 @@ func (c Counter) String() string {
 	return counterNames[c]
 }
 
-// Field is one key/value pair of a trace event. Events carry ordered
+// Field is one key/value pair of a span annotation. Spans carry ordered
 // fields (not a map) so sinks emit them deterministically.
 type Field struct {
 	Key   string
@@ -215,30 +218,12 @@ type Field struct {
 // F builds a Field.
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
-// Event is one structured trace record.
-type Event struct {
-	// Time is the emission time (wall clock).
-	Time time.Time
-	// Name identifies the event, dot-namespaced by subsystem
-	// ("castor.seed", "covering.accepted", …).
-	Name string
-	// Fields are the event's payload, in emission order.
-	Fields []Field
-}
-
-// Tracer receives trace events. Implementations must be safe for
-// concurrent use: coverage workers may emit from multiple goroutines.
-type Tracer interface {
-	Emit(Event)
-}
-
-// Run bundles the tracer, registry and span sink one learning run reports
-// into. The zero value and nil are valid and mean "observe nothing".
+// Run bundles the registry and span sink one learning run reports into.
+// The zero value and nil are valid and mean "observe nothing".
 type Run struct {
-	tracer Tracer
-	reg    *Registry
-	spans  SpanSink
-	prov   *Prov
+	reg   *Registry
+	spans SpanSink
+	prov  *Prov
 
 	// beat is the stall-watchdog heartbeat: span begins/ends and the
 	// learner hot paths bump it, StartWatchdog watches it (see watchdog.go).
@@ -249,17 +234,13 @@ type Run struct {
 	cur    *Span
 }
 
-// NewRun pairs a tracer with a registry; either may be nil.
-func NewRun(t Tracer, reg *Registry) *Run {
-	if t == nil && reg == nil {
+// NewRun pairs a span sink with a registry; either may be nil.
+func NewRun(spans SpanSink, reg *Registry) *Run {
+	if spans == nil && reg == nil {
 		return nil // collapse to the nop run: hot paths test one pointer
 	}
-	return &Run{tracer: t, reg: reg}
+	return &Run{spans: spans, reg: reg}
 }
-
-// Tracing reports whether events are consumed. Hot loops should guard
-// Emit calls with it to avoid building field slices nobody reads.
-func (r *Run) Tracing() bool { return r != nil && r.tracer != nil }
 
 // Registry returns the run's registry, or nil.
 func (r *Run) Registry() *Registry {
@@ -267,15 +248,6 @@ func (r *Run) Registry() *Registry {
 		return nil
 	}
 	return r.reg
-}
-
-// Emit sends an event to the tracer, stamping the current time. It is a
-// no-op without a tracer; the fields are not inspected in that case.
-func (r *Run) Emit(name string, fields ...Field) {
-	if r == nil || r.tracer == nil {
-		return
-	}
-	r.tracer.Emit(Event{Time: time.Now(), Name: name, Fields: fields})
 }
 
 // Inc adds 1 to the counter.

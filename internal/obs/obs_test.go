@@ -14,13 +14,9 @@ import (
 // is the default in ilp.Params.
 func TestNilRunIsSafe(t *testing.T) {
 	var r *Run
-	if r.Tracing() {
-		t.Error("nil run claims to trace")
-	}
 	if r.Registry() != nil {
 		t.Error("nil run has a registry")
 	}
-	r.Emit("x", F("k", 1))
 	r.Inc(CCoverageTests)
 	r.Add(CTuplesScanned, 7)
 	r.StartSpan("beam_round").End()
@@ -34,7 +30,7 @@ func TestNewRunCollapsesToNil(t *testing.T) {
 		t.Error("registry-only run collapsed")
 	}
 	if NewRun(NewJSONLSink(&bytes.Buffer{}), nil) == nil {
-		t.Error("tracer-only run collapsed")
+		t.Error("span-sink-only run collapsed")
 	}
 }
 
@@ -115,14 +111,16 @@ func TestWriteSummarySkipsZeros(t *testing.T) {
 	}
 }
 
-// TestJSONLSink: every emitted line must parse as a standalone JSON object
-// with the fixed t/event keys plus the event's own fields, in order.
+// TestJSONLSink: every span line must parse as a standalone JSON object
+// with the fixed t/span/id/parent/worker/round/start_ns/dur_ns keys plus
+// the span's own fields, in order.
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	run := NewRun(sink, nil)
-	run.Emit("castor.seed", F("seed", "advisedBy(s, p)"), F("try", 3))
-	run.Emit("weird", F("val", map[string]int{"n": 1}), F("list", []string{"a", "b"}))
+	sp := run.StartSpan("seed_try", F("seed", "advisedBy(s, p)"), F("try", 3))
+	sp.Annotate(F("weird", map[string]int{"n": 1}), F("list", []string{"a", "b"}))
+	sp.End()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,22 +133,28 @@ func TestJSONLSink(t *testing.T) {
 		}
 		lines = append(lines, obj)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2", len(lines))
+	if len(lines) != 1 {
+		t.Fatalf("wrote %d lines, want 1", len(lines))
 	}
-	if lines[0]["event"] != "castor.seed" || lines[0]["seed"] != "advisedBy(s, p)" {
-		t.Errorf("first line = %v", lines[0])
+	line := lines[0]
+	if line["span"] != "seed_try" || line["seed"] != "advisedBy(s, p)" || line["try"] != float64(3) {
+		t.Errorf("line = %v", line)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, lines[0]["t"].(string)); err != nil {
+	for _, key := range []string{"id", "parent", "worker", "round", "start_ns", "dur_ns"} {
+		if _, ok := line[key]; !ok {
+			t.Errorf("line lacks %q: %v", key, line)
+		}
+	}
+	if _, err := time.Parse(time.RFC3339Nano, line["t"].(string)); err != nil {
 		t.Errorf("timestamp does not parse: %v", err)
 	}
-	if lines[1]["list"].([]any)[1] != "b" {
-		t.Errorf("slice field mangled: %v", lines[1])
+	if line["list"].([]any)[1] != "b" {
+		t.Errorf("slice field mangled: %v", line)
 	}
 }
 
 // TestJSONLSinkConcurrent verifies whole-line atomicity under concurrent
-// emitters (coverage workers share one sink).
+// writers (pool workers end their shard spans into one sink).
 func TestJSONLSinkConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
@@ -160,7 +164,8 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sink.Emit(Event{Time: time.Unix(0, 0), Name: "e", Fields: []Field{F("w", w), F("i", i)}})
+				sink.SpanEnd(&Span{Name: "shard", Start: time.Unix(0, 0), Worker: w,
+					Fields: []Field{F("i", i)}}, time.Microsecond)
 			}
 		}(w)
 	}
@@ -178,33 +183,5 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 	}
 	if n != 8*50 {
 		t.Errorf("got %d lines, want %d", n, 8*50)
-	}
-}
-
-func TestTextSink(t *testing.T) {
-	var buf bytes.Buffer
-	run := NewRun(NewTextSink(&buf), nil)
-	run.Emit("covering.accepted", F("clause", "t(X) :- p(X)."), F("pos", 5))
-	out := buf.String()
-	if !strings.Contains(out, "covering.accepted") || !strings.Contains(out, "pos=5") {
-		t.Errorf("text sink output %q", out)
-	}
-}
-
-func TestMultiTracer(t *testing.T) {
-	var a, b bytes.Buffer
-	sa, sb := NewJSONLSink(&a), NewJSONLSink(&b)
-	mt := MultiTracer(nil, sa, nil, sb)
-	mt.Emit(Event{Time: time.Unix(0, 0), Name: "x"})
-	sa.Flush()
-	sb.Flush()
-	if a.Len() == 0 || b.Len() == 0 {
-		t.Error("fan-out missed a sink")
-	}
-	if MultiTracer(nil, nil) != nil {
-		t.Error("all-nil MultiTracer must collapse to nil")
-	}
-	if MultiTracer(sa) != Tracer(sa) {
-		t.Error("single tracer must pass through unwrapped")
 	}
 }

@@ -336,7 +336,7 @@ func (r *Run) WithProvenance(p *Prov) *Run {
 	if r == nil {
 		return &Run{prov: p}
 	}
-	return &Run{tracer: r.tracer, reg: r.reg, spans: r.spans, prov: p}
+	return &Run{reg: r.reg, spans: r.spans, prov: p}
 }
 
 // Prov returns the run's provenance recorder, or nil. All recorder

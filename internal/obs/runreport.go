@@ -176,9 +176,10 @@ func (d MetricDelta) FamilyMismatch() bool {
 	return d.InOld && d.InNew && d.FamilyOld != d.FamilyNew
 }
 
-// DiffRunReports flattens both reports' metrics (see Report.FlatMetrics),
-// adds elapsed_seconds and the definition stats when present, and returns
-// one delta per metric name appearing in either, sorted by name.
+// DiffRunReports flattens both reports' metrics (see
+// Report.FlatMetricsWithFamilies), adds elapsed_seconds and the definition
+// stats when present, and returns one delta per metric name appearing in
+// either, sorted by name.
 func DiffRunReports(old, new *RunReport) []MetricDelta {
 	om, of := flatten(old)
 	nm, nf := flatten(new)

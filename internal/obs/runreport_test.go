@@ -92,13 +92,13 @@ func TestFlatMetricsNamespaces(t *testing.T) {
 	run := NewRun(nil, reg)
 	run.Inc(CCoverageTests)
 	run.StartSpan("learn").End()
-	flat := reg.Snapshot().FlatMetrics()
+	flat, _ := reg.Snapshot().FlatMetricsWithFamilies()
 	for _, key := range []string{
 		"coverage_tests", "span_learn_seconds", "span_learn_calls",
 		"hist_span_learn_p99",
 	} {
 		if _, ok := flat[key]; !ok {
-			t.Errorf("FlatMetrics missing %q", key)
+			t.Errorf("flat metrics missing %q", key)
 		}
 	}
 	if flat["span_learn_calls"] != 1 {

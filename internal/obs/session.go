@@ -15,7 +15,7 @@ import (
 // A Session is the observability stack of one binary invocation (cmd/castor
 // runs one learn under it, cmd/experiments a whole table): the registry,
 // the always-on flight ring with its SIGQUIT, watchdog, panic and run-end
-// dumps, the trace and span sinks, the one timeline tick, the HTTP server
+// dumps, the span sinks (trace file included), the one timeline tick, the HTTP server
 // and the profiles. Both binaries map their flags onto Config and hand
 // Run() to the learners; Close shuts everything down in order and fills
 // the run report.
@@ -24,8 +24,7 @@ import (
 // field per flag. The zero value observes into the registry and flight
 // ring only.
 type Config struct {
-	Verbose    bool   // -v: trace events as text on stderr
-	TracePath  string // -trace: Chrome trace-event file if it ends in .json, JSONL trace otherwise
+	TracePath  string // -trace: Chrome trace-event file if it ends in .json, JSONL span trace otherwise
 	ReportPath string // -report
 
 	HTTPAddr string        // -http
@@ -99,17 +98,11 @@ func (s *Session) start() (err error) {
 		}
 	}()
 
-	var tracers []Tracer
 	sinks := []SpanSink{s.flight}
-	if cfg.Verbose {
-		tracers = append(tracers, NewTextSink(os.Stderr))
-	}
 	if cfg.TracePath != "" {
-		// Either trace sink is both a tracer (event lines or instant
-		// markers) and a span sink, so the span graph is reconstructable
-		// offline from the trace file alone.
+		// Either trace sink records every span, so the span graph is
+		// reconstructable offline from the trace file alone.
 		var sink interface {
-			Tracer
 			SpanSink
 			io.Closer
 		}
@@ -122,7 +115,6 @@ func (s *Session) start() (err error) {
 			return err
 		}
 		s.trace = sink
-		tracers = append(tracers, sink)
 		sinks = append(sinks, sink)
 	}
 	var prog *Progress
@@ -151,7 +143,7 @@ func (s *Session) start() (err error) {
 			return err
 		}
 	}
-	s.run = NewRun(MultiTracer(tracers...), s.reg).WithSpans(MultiSpanSink(sinks...)).WithProvenance(s.prov)
+	s.run = NewRun(MultiSpanSink(sinks...), s.reg).WithProvenance(s.prov)
 
 	if cfg.TimelinePath != "" || cfg.HTTPAddr != "" || cfg.ReportPath != "" || cfg.FlightPath != "" {
 		// The one sampling tick: resource gauges, counter-delta flight
@@ -195,9 +187,9 @@ func (s *Session) DumpOnPanic() {
 
 // Close ends the session: it closes the trace and provenance files, takes
 // the final timeline tick, fills rr's When, Env, Metrics, Timeline and
-// Attrib and writes it to -report, prints the summary table under -v or
-// -trace, writes the heap profile, idles for -http-idle, dumps the flight
-// ring to -flightrecorder and stops every goroutine the session started.
+// Attrib and writes it to -report, prints the summary table under -trace,
+// writes the heap profile, idles for -http-idle, dumps the flight ring to
+// -flightrecorder and stops every goroutine the session started.
 // rr is nil for a failed run: nothing is reported then. The first error
 // wins; the session is released either way.
 func (s *Session) Close(rr *RunReport) error {
@@ -235,7 +227,7 @@ func (s *Session) Close(rr *RunReport) error {
 				return err
 			}
 		}
-		if s.cfg.Verbose || s.cfg.TracePath != "" {
+		if s.cfg.TracePath != "" {
 			fmt.Fprintf(s.out, "\nrun metrics:\n")
 			rr.Metrics.WriteSummary(s.out)
 		}

@@ -64,7 +64,7 @@ func TestSessionFillsReportAndDumpsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
-		t.Errorf("summary printed without -v or -trace:\n%s", out.String())
+		t.Errorf("summary printed without -trace:\n%s", out.String())
 	}
 	rep, err := LoadRunReport(cfg.ReportPath)
 	if err != nil {

@@ -2,21 +2,16 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"os"
 	"sync"
 	"time"
 )
 
-// JSONLSink writes one JSON object per event, suitable for machine-read
-// run traces (the -trace flag). Each line has the shape
-//
-//	{"t":"2006-01-02T15:04:05.000Z","event":"castor.seed","seed":"advisedBy(s0, p0)"}
-//
-// with the event's fields flattened into the object in emission order.
+// JSONLSink writes one JSON object per finished span, suitable for
+// machine-read run traces (the -trace flag); see SpanEnd for the line
+// shape.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -42,28 +37,6 @@ func CreateJSONLFile(path string) (*JSONLSink, error) {
 	return s, nil
 }
 
-// Emit implements Tracer. Marshal failures of individual field values
-// degrade to a quoted %v rendering rather than dropping the event.
-func (s *JSONLSink) Emit(e Event) {
-	buf := make([]byte, 0, 128)
-	buf = append(buf, `{"t":`...)
-	buf = appendJSONValue(buf, e.Time.UTC().Format(time.RFC3339Nano))
-	buf = append(buf, `,"event":`...)
-	buf = appendJSONValue(buf, e.Name)
-	for _, f := range e.Fields {
-		buf = append(buf, ',')
-		buf = appendJSONValue(buf, f.Key)
-		buf = append(buf, ':')
-		buf = appendJSONValue(buf, f.Value)
-	}
-	buf = append(buf, '}', '\n')
-	s.mu.Lock()
-	if _, err := s.w.Write(buf); err != nil && s.err == nil {
-		s.err = err // Emit cannot return it; surface the first one at Flush/Close
-	}
-	s.mu.Unlock()
-}
-
 // SpanStart implements SpanSink as a no-op: span lines are written whole
 // at SpanEnd, when the duration is known, which keeps the trace one line
 // per span and the offline graph reconstruction trivial.
@@ -74,8 +47,10 @@ func (s *JSONLSink) SpanStart(*Span) {}
 //	{"t":…,"span":"beam_round","id":7,"parent":3,"worker":-1,"round":0,
 //	 "start_ns":…,"dur_ns":…,…fields}
 //
-// distinguishable from event lines by the "span" key. worker is -1 for
-// spans on the run's owning goroutine, the pool-worker index otherwise;
+// with the span's fields flattened into the object in annotation order;
+// field values that do not marshal degrade to a quoted String() rendering
+// rather than dropping the line. worker is -1 for spans on the run's
+// owning goroutine, the pool-worker index otherwise;
 // round joins the shard spans of one pooled drain (0 = none). The keys
 // t/span/id/parent/worker/round/start_ns/dur_ns are reserved — span
 // fields with those names would shadow them in consumers, so field keys
@@ -107,7 +82,7 @@ func (s *JSONLSink) SpanEnd(sp *Span, d time.Duration) {
 	buf = append(buf, '}', '\n')
 	s.mu.Lock()
 	if _, err := s.w.Write(buf); err != nil && s.err == nil {
-		s.err = err
+		s.err = err // SpanEnd cannot return it; surface the first one at Flush/Close
 	}
 	s.mu.Unlock()
 }
@@ -128,7 +103,7 @@ func stringify(v any) string {
 	return "unrepresentable"
 }
 
-// Flush forces buffered events out. It returns the first error any Emit
+// Flush forces buffered lines out. It returns the first error any write
 // hit, so a run that traced into a full disk fails loudly instead of
 // silently writing a truncated trace.
 func (s *JSONLSink) Flush() error {
@@ -151,52 +126,4 @@ func (s *JSONLSink) Close() error {
 		s.c = nil
 	}
 	return err
-}
-
-// SlogSink forwards events to a log/slog logger at Info level — the
-// human-readable -v output.
-type SlogSink struct{ l *slog.Logger }
-
-// NewTextSink returns a slog sink writing human-readable lines (without
-// the redundant time/level prefix noise suppressed: the event time is the
-// log time).
-func NewTextSink(w io.Writer) *SlogSink {
-	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo})
-	return &SlogSink{l: slog.New(h)}
-}
-
-// Emit implements Tracer.
-func (s *SlogSink) Emit(e Event) {
-	attrs := make([]slog.Attr, 0, len(e.Fields))
-	for _, f := range e.Fields {
-		attrs = append(attrs, slog.Any(f.Key, f.Value))
-	}
-	s.l.LogAttrs(context.Background(), slog.LevelInfo, e.Name, attrs...)
-}
-
-// multiTracer fans one event out to several sinks.
-type multiTracer []Tracer
-
-func (m multiTracer) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}
-
-// MultiTracer combines tracers, ignoring nils. It returns nil when
-// nothing remains, so NewRun can collapse to the nop run.
-func MultiTracer(ts ...Tracer) Tracer {
-	var out multiTracer
-	for _, t := range ts {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
 }

@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// Spans are the structured counterpart of flat trace events: a named,
-// timed region of the learning pipeline with a parent, so a run becomes a
-// tree — one span per Learn call, per covering-loop iteration, per bottom
-// clause, per beam round, per coverage batch, per reduction. Exporters
+// A span is a named, timed region of the learning pipeline with a parent
+// and annotated fields, so a run becomes a tree — one span per Learn call,
+// per covering-loop iteration, per seed try, per bottom clause, per beam
+// round, per coverage batch, per reduction. Exporters
 // (the Chrome-trace sink, the live progress tracker) consume spans through
 // SpanSink — the flight recorder is one such sink; the Registry aggregates
 // wall time and call counts per span name for the run report.
@@ -70,8 +70,8 @@ type SpanSink interface {
 	SpanEnd(s *Span, d time.Duration)
 }
 
-// Spanning reports whether StartSpan would record anything. Hot loops can
-// guard expensive field construction with it, like Tracing for Emit.
+// Spanning reports whether StartSpan would record anything. Hot loops
+// guard expensive field construction (clause strings) with it.
 func (r *Run) Spanning() bool {
 	return r != nil && (r.reg != nil || r.spans != nil)
 }
@@ -87,7 +87,7 @@ func (r *Run) WithSpans(sink SpanSink) *Run {
 	if r == nil {
 		return &Run{spans: sink}
 	}
-	return &Run{tracer: r.tracer, reg: r.reg, spans: sink, prov: r.prov}
+	return &Run{reg: r.reg, spans: sink, prov: r.prov}
 }
 
 // StartSpan opens a span named name under the innermost open span of the

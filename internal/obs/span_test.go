@@ -2,7 +2,6 @@ package obs
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -31,16 +30,6 @@ func TestNilRunSpansAreSafe(t *testing.T) {
 	}
 	s.Annotate(F("k", 2)) // must not panic
 	s.End()               // must not panic
-}
-
-func TestTracerOnlyRunDoesNotSpan(t *testing.T) {
-	r := NewRun(NewTextSink(&strings.Builder{}), nil)
-	if r.Spanning() {
-		t.Fatal("tracer-only run reports Spanning")
-	}
-	if s := r.StartSpan("learn"); s != nil {
-		t.Fatal("tracer-only run produced a span")
-	}
 }
 
 func TestSpanNesting(t *testing.T) {
@@ -192,7 +181,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestJSONLSinkStickyWriteError(t *testing.T) {
 	s := NewJSONLSink(&failWriter{n: 8})
 	for i := 0; i < 100; i++ {
-		s.Emit(Event{Time: time.Now(), Name: "covering.accepted"})
+		s.SpanEnd(&Span{Name: "covering_iteration", Start: time.Now(), Worker: -1}, time.Millisecond)
 	}
 	err := s.Flush()
 	if err == nil {

@@ -40,7 +40,7 @@ func TestStoreStatsInReports(t *testing.T) {
 		}
 	}
 
-	flat := r.FlatMetrics()
+	flat, _ := r.FlatMetricsWithFamilies()
 	for name, want := range map[string]float64{
 		"relstore_publication_lookups":        10,
 		"relstore_publication_tuples_scanned": 42,
@@ -51,7 +51,7 @@ func TestStoreStatsInReports(t *testing.T) {
 		"relstore_ind_expansions":             3,
 	} {
 		if flat[name] != want {
-			t.Errorf("FlatMetrics[%s] = %v, want %v", name, flat[name], want)
+			t.Errorf("flat[%s] = %v, want %v", name, flat[name], want)
 		}
 	}
 

@@ -61,10 +61,6 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 	sb.End()
 	run.Inc(obs.CBottomClauses)
 	run.Add(obs.CBottomLiterals, int64(len(bottom.Body)))
-	if run.Tracing() {
-		run.Emit("progolem.bottom",
-			obs.F("seed", seed.String()), obs.F("literals", len(bottom.Body)))
-	}
 	var rootID uint64
 	if prov.Enabled() {
 		rootID = prov.Node(obs.ProvNode{
@@ -189,11 +185,10 @@ func (l *Learner) learnClause(prob *ilp.Problem, params ilp.Params, tester *ilp.
 			newCands = newCands[:width]
 		}
 		beam = newCands
-		if run.Tracing() {
-			run.Emit("progolem.beam",
-				obs.F("iter", iter), obs.F("beam", len(beam)), obs.F("best", beam[0].score))
+		if sr != nil {
+			sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score),
+				obs.F("kept", len(beam)))
 		}
-		sr.Annotate(obs.F("candidates", len(cands)), obs.F("best", beam[0].score))
 		sr.End()
 	}
 	// Highest-scoring clause in the beam, negatively reduced.

@@ -4,9 +4,14 @@ package sirl_test
 // would touch, exercised through the root package only.
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	sirl "repro"
+	"repro/internal/obs"
+	"repro/internal/testfix"
 )
 
 // buildCollabProblem assembles the quickstart problem through the facade.
@@ -151,5 +156,89 @@ func TestFacadeDatasets(t *testing.T) {
 		if _, err := ds.Problem(ds.Variants[0].Name); err != nil {
 			t.Errorf("%s: %v", ds.Name, err)
 		}
+	}
+}
+
+// TestTelemetryDoesNotChangeBaselines: for each baseline learner, a run
+// traced into a JSONL span sink learns the byte-identical definition of an
+// unobserved run, and the trace carries what the learner records about
+// its search as span fields: every covering iteration's clause, what the
+// loop left uncovered, and each learner's own per-round record.
+func TestTelemetryDoesNotChangeBaselines(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		learner func() sirl.Learner
+		kind    string   // the span kind the learner's own record moved to
+		keys    []string // fields some span of that kind must carry
+	}{
+		{"golem", sirl.NewGolem, "greedy_extension", []string{"score", "clause"}},
+		{"progolem", sirl.NewProGolem, "beam_round", []string{"iter", "beam", "candidates", "best", "kept"}},
+		{"foil", sirl.NewFOIL, "beam_round", []string{"iter", "candidates", "pos", "neg", "literal", "gain"}},
+		// Aleph-Progol opens no spans of its own inside the covering loop.
+		{"aleph-progol", sirl.NewAlephProgol, "covering_iteration", []string{"clauses", "uncovered", "literals"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			learn := func(run *obs.Run) string {
+				params := sirl.DefaultParams()
+				params.Depth = 2
+				params.Sample = 3
+				params.Obs = run
+				def, err := tc.learner().Learn(testfix.NewWorld(8).ProblemOriginal(), params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return def.String()
+			}
+			plain := learn(nil)
+			var trace bytes.Buffer
+			sink := obs.NewJSONLSink(&trace)
+			traced := learn(obs.NewRun(sink, nil))
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if plain != traced {
+				t.Fatalf("tracing changed the learned definition:\nuntraced: %s\ntraced:   %s", plain, traced)
+			}
+
+			byKind := map[string][]map[string]any{}
+			sc := bufio.NewScanner(&trace)
+			for sc.Scan() {
+				var obj map[string]any
+				if err := json.Unmarshal(sc.Bytes(), &obj); err != nil {
+					t.Fatalf("trace line %q does not parse: %v", sc.Text(), err)
+				}
+				kind, _ := obj["span"].(string)
+				if kind == "" {
+					t.Fatalf("trace line %q is not a span line", sc.Text())
+				}
+				byKind[kind] = append(byKind[kind], obj)
+			}
+			has := func(kind string, keys ...string) bool {
+				for _, sp := range byKind[kind] {
+					n := 0
+					for _, k := range keys {
+						if _, ok := sp[k]; ok {
+							n++
+						}
+					}
+					if n == len(keys) {
+						return true
+					}
+				}
+				return false
+			}
+			for _, want := range []struct {
+				kind string
+				keys []string
+			}{
+				{"learn", []string{"learner", "clauses", "uncovered"}},
+				{"covering_iteration", []string{"accepted", "pos", "neg", "clause"}},
+				{tc.kind, tc.keys},
+			} {
+				if !has(want.kind, want.keys...) {
+					t.Errorf("no %s span carries %v (saw %d spans of the kind)", want.kind, want.keys, len(byKind[want.kind]))
+				}
+			}
+		})
 	}
 }
